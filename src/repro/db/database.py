@@ -82,7 +82,7 @@ from repro.errors import (
     TransactionError,
     TriggerError,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metric_key
 
 from repro.db.wal import OP_CREATE_TRIGGER, OP_DROP_TRIGGER
 
@@ -307,10 +307,19 @@ class Database(StorageEngine):
         """One coherent observability snapshot for this database.
 
         Merges the shared registry's instruments with the statement
-        cache's hit/miss accounting and the legacy ``statistics``
-        counters, so callers get every number from one place.
+        cache's hit/miss accounting, the legacy ``statistics`` counters
+        and, for every table that has a columnar projection, its
+        ``columnar.*{table=...}`` maintenance counts (read here, at
+        snapshot time: a patch is told from a rebuild at no hot-path
+        cost), so callers get every number from one place.
         """
         snapshot = self.obs.snapshot()
+        for table in self.catalog.tables():
+            store = table.projection
+            if store is not None:
+                for name, value in store.stats().items():
+                    key = metric_key(f"columnar.{name}", {"table": table.name})
+                    snapshot["gauges"][key] = value
         cache = self.statement_cache.stats
         for key, value in cache.items():
             snapshot["counters"][f"statement_cache.{key}"] = value

@@ -124,7 +124,7 @@ class HeapTable:
                 index.insert(new_key, rowid)
         self._rows[rowid] = new_row
         if self._column_store is not None:
-            self._column_store.note_mutation()
+            self._column_store.note_update(rowid, new_row)
         return old_row
 
     def delete(self, rowid: int) -> dict[str, Any]:
@@ -134,7 +134,7 @@ class HeapTable:
             index.delete(row[index.column], rowid)
         del self._rows[rowid]
         if self._column_store is not None:
-            self._column_store.note_mutation()
+            self._column_store.note_delete(rowid)
         return row
 
     def _require(self, rowid: int) -> dict[str, Any]:
@@ -213,6 +213,12 @@ class HeapTable:
             from repro.db.columnar import ColumnStore
 
             self._column_store = ColumnStore(self)
+        return self._column_store
+
+    @property
+    def projection(self) -> "ColumnStore | None":
+        """The columnar projection if one was ever asked for, else
+        ``None`` (observability reads this; it never creates one)."""
         return self._column_store
 
     def snapshot(self) -> dict[int, dict[str, Any]]:

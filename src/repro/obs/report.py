@@ -46,6 +46,7 @@ def run_stats_workload(
     from repro.pubsub.broker import PubSubBroker
     from repro.queues.broker import QueueBroker
     from repro.queues.propagation import PropagationLink, Propagator
+    from repro.queues.queue_table import queue_table_name
     from repro.pubsub.delivery import DeliveryManager
     from repro.rules.actions import EnqueueAction
     from repro.rules.engine import RuleEngine
@@ -128,6 +129,14 @@ def run_stats_workload(
                 f"VALUES ({i}, {10 + (i * 7) % 100}, "
                 f"'{'west' if i % 2 else 'east'}')"
             )
+            if i % 20 == 19:
+                # Continuous analytics beside the writes: the first one
+                # builds the columnar projection, later ones append to it
+                # (columnar.* gauges in the report).
+                db.query(
+                    "SELECT region, count(*), sum(amount) FROM orders"
+                    " GROUP BY region"
+                )
             clock.advance(0.05)
 
         # Out-of-order tail: a few stragglers whose event time is far
@@ -154,6 +163,12 @@ def run_stats_workload(
             # process_batch() failure boundaries each see traffic.
             consumed += delivery.process(lambda message: None, batch=4)
             consumed += delivery.process_batch(lambda message: None, batch=16)
+            # Depth by state on the live queue table: consumption UPDATEs
+            # and DELETEs its rows, so this projection is patched.
+            remote_db.query(
+                f"SELECT state, count(*) FROM {queue_table_name('remote')}"
+                " GROUP BY state"
+            )
             clock.advance(1.0)
             if broker.queue("matched").depth() == 0 and (
                 remote.queue("remote").depth() == 0

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.db import columnar
 from repro.db.database import Database
 from repro.db.sql import executor
 
@@ -262,8 +263,8 @@ def test_empty_table_and_empty_groups():
 
 
 def test_interleaved_dml_stays_consistent():
-    """Insert-append, update/delete-invalidate, and rollback all leave
-    the columnar projection consistent with the heap."""
+    """Insert-append, update/delete-patch, and rollback all leave the
+    columnar projection consistent with the heap."""
     db = build_db(71, rows=200)
     query = "SELECT grp, count(*), sum(val), max(note) FROM events GROUP BY grp"
 
@@ -279,9 +280,9 @@ def test_interleaved_dml_stays_consistent():
     )
     check("after insert (pending append)")
     db.execute("UPDATE events SET val = 0 WHERE grp = 'alpha'")
-    check("after update (invalidation)")
+    check("after update (patch)")
     db.execute("DELETE FROM events WHERE val > 50")
-    check("after delete (invalidation)")
+    check("after delete (patch)")
     conn = db.connect()
     conn.execute("BEGIN")
     conn.execute("DELETE FROM events")
@@ -356,3 +357,205 @@ def test_unbounded_int_column_falls_back_at_runtime():
     fast, slow, engaged = run_both(db, query)
     assert not engaged
     assert_rows_equal(fast, slow, query)
+
+
+# -- patched == rebuilt oracle ------------------------------------------------
+
+
+def assert_store_matches_rebuild(table, label, dropped=()):
+    """The maintained projection must be element for element what a
+    fresh build over the same heap produces, in heap dict order.
+    ``dropped`` names columns the live store gave up on (int64
+    overflow) and is allowed to lack until its next rebuild."""
+    live = table.column_store().batch()
+    fresh = columnar.ColumnStore(table).batch()
+    heap_rowids = [rowid for rowid, _row in table.scan_internal()]
+    assert live.n == fresh.n == len(heap_rowids), label
+    assert live.rowids.tolist() == heap_rowids, f"{label}: rowid order"
+    assert fresh.rowids.tolist() == heap_rowids, label
+    for name in columnar.vector_kinds(table.schema):
+        ours, theirs = live.series(name), fresh.series(name)
+        if ours is None:
+            assert theirs is None or name in dropped, f"{label}: lost {name}"
+            continue
+        assert theirs is not None, f"{label}: {name} should not encode"
+        assert ours.values.shape == (live.n,) and ours.values.dtype == theirs.values.dtype
+        assert ours.nulls.tolist() == theirs.nulls.tolist(), f"{label}: {name} nulls"
+        if ours.kind == "text":
+            words = ours.dictionary.tolist()
+            assert words == sorted(set(words)), f"{label}: {name} dictionary"
+            valid = ~ours.nulls
+            assert (
+                ours.dictionary[ours.values[valid]].tolist()
+                == theirs.dictionary[theirs.values[valid]].tolist()
+            ), f"{label}: {name} text"
+        else:  # numbers, including the zero fill under NULLs
+            assert ours.values.tolist() == theirs.values.tolist(), f"{label}: {name}"
+
+
+DML_STEPS = (
+    "insert",
+    "update_one",
+    "update_bulk",
+    "update_to_null",
+    "update_from_null",
+    "update_new_word",
+    "delete_some",
+    "rolled_back_update",
+    "rolled_back_delete",
+    "rolled_back_delete_all",
+    "huge_int",
+)
+
+
+@pytest.mark.parametrize("seed", [211, 223, 227])
+def test_random_dml_walk_patched_store_equals_rebuild(seed):
+    rng = random.Random(seed)
+    db = build_db(seed, rows=160)
+    table = db.catalog.table("events")
+    store = table.column_store()
+    conn = db.connect()
+    query = (
+        "SELECT grp, count(*), sum(val), avg(score), min(note), max(flag)"
+        " FROM events GROUP BY grp"
+    )
+    next_id = 10_000
+    dropped = set()
+
+    def some_id():
+        return rng.choice([row["id"] for _rowid, row in table.scan_internal()])
+
+    def step(kind):
+        nonlocal next_id
+        if kind == "insert":
+            for _ in range(rng.randint(1, 5)):
+                next_id += 1
+                db.execute(
+                    "INSERT INTO events (id, grp, val, score, flag, note, meta)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    [next_id, rng.choice(["alpha", "beta", None]),
+                     rng.randint(-100, 100), float(rng.randint(-50, 50)),
+                     rng.random() < 0.5, rng.choice(["x", "zzz", None]), None],
+                )
+        elif kind == "update_one":
+            db.execute(
+                "UPDATE events SET val = ?, score = ?, flag = ? WHERE id = ?",
+                [rng.randint(-100, 100), float(rng.randint(-50, 50)),
+                 rng.random() < 0.5, some_id()],
+            )
+        elif kind == "update_bulk":
+            db.execute(
+                "UPDATE events SET val = ?, note = ? WHERE grp = ?",
+                [rng.randint(-100, 100), rng.choice(["x", "yy"]),
+                 rng.choice(["alpha", "beta", "gamma", "delta"])],
+            )
+        elif kind == "update_to_null":
+            db.execute(
+                "UPDATE events SET grp = NULL, val = NULL, score = NULL,"
+                " flag = NULL WHERE id = ?",
+                [some_id()],
+            )
+        elif kind == "update_from_null":
+            db.execute("UPDATE events SET grp = 'gamma' WHERE grp IS NULL AND val > 0")
+            db.execute("UPDATE events SET val = 7 WHERE val IS NULL AND score > 0")
+        elif kind == "update_new_word":
+            db.execute(
+                "UPDATE events SET grp = ?, note = ? WHERE id = ?",
+                [f"grp-{rng.randrange(10**6)}", f"a-note-{rng.randrange(10**6)}",
+                 some_id()],
+            )
+        elif kind == "delete_some":
+            db.execute("DELETE FROM events WHERE id = ?", [some_id()])
+            db.execute("DELETE FROM events WHERE val = ?", [rng.randint(-100, 100)])
+        elif kind == "rolled_back_update":
+            conn.execute("BEGIN")
+            conn.execute("UPDATE events SET val = 1, note = 'undone' WHERE flag")
+            conn.execute("ROLLBACK")
+        elif kind == "rolled_back_delete":
+            # Undo re-inserts the victims at the end of the heap dict in
+            # reverse order: rowids stop being ascending.
+            conn.execute("BEGIN")
+            conn.execute("DELETE FROM events WHERE grp = 'beta'")
+            conn.execute("ROLLBACK")
+        elif kind == "rolled_back_delete_all":
+            conn.execute("BEGIN")
+            conn.execute("DELETE FROM events")
+            conn.execute("ROLLBACK")
+        else:  # huge_int: beyond int64, the live store must drop ``val``
+            victim = some_id()
+            db.execute("UPDATE events SET val = ? WHERE id = ?", [2**80, victim])
+            assert store.batch().series("val") is None
+            dropped.add("val")
+            assert_store_matches_rebuild(table, f"seed {seed} huge int", dropped)
+            db.execute("UPDATE events SET val = 3 WHERE id = ?", [victim])
+
+    db.query(query)  # first build
+    assert_store_matches_rebuild(table, "initial")
+    walk = list(DML_STEPS) * 4
+    rng.shuffle(walk)
+    for index, kind in enumerate(walk):
+        before = store.rebuilds
+        step(kind)
+        label = f"seed {seed} step {index} {kind}"
+        assert_store_matches_rebuild(table, label, dropped)
+        if store.rebuilds > before:
+            dropped.clear()  # a rebuild re-encodes every encodable column
+        fast, slow, _engaged = run_both(db, query)
+        assert_rows_equal(fast, slow, f"{query} [{label}]", ordered=True)
+    # The walk is maintained by patching, not by rebuilding after every
+    # write: only the delete-all steps outgrow the log.
+    assert store.patched_rows > 0 and store.append_batches > 0
+    assert store.rebuilds <= 1 + walk.count("rolled_back_delete_all")
+
+
+def test_patches_apply_when_rowids_are_not_ascending():
+    db = build_db(229, rows=120)
+    table = db.catalog.table("events")
+    store = table.column_store()
+    db.query("SELECT count(*) FROM events")
+    conn = db.connect()
+    conn.execute("BEGIN")
+    conn.execute("DELETE FROM events WHERE grp = 'alpha'")
+    conn.execute("ROLLBACK")
+    rowids = store.batch().rowids.tolist()
+    assert rowids != sorted(rowids)
+    db.execute("UPDATE events SET val = 99 WHERE grp = 'alpha'")
+    db.execute("DELETE FROM events WHERE grp = 'gamma'")
+    assert_store_matches_rebuild(table, "patched out of rowid order")
+    assert store.rebuilds == 1
+
+
+def test_text_dictionary_does_not_accumulate_dead_words():
+    """Updates strand dictionary words; merging new ones drops them."""
+    db = build_db(233, rows=100)
+    table = db.catalog.table("events")
+    store = table.column_store()
+    for round_ in range(200):
+        db.execute("UPDATE events SET note = ? WHERE id = 5", [f"note-{round_}"])
+        assert store.batch().series("note").dictionary.shape[0] <= 6
+    assert_store_matches_rebuild(table, "after 200 new words")
+    assert store.rebuilds == 1
+
+
+def test_interrupted_flush_falls_back_to_a_rebuild(monkeypatch):
+    """A flush that dies half way (Ctrl-C) must not leave a half-patched
+    projection behind: the store drops to dirty and rebuilds."""
+    db = build_db(239, rows=80)
+    table = db.catalog.table("events")
+    store = table.column_store()
+    db.query("SELECT count(*) FROM events")
+    db.execute("UPDATE events SET val = 5 WHERE grp = 'alpha'")
+    encode = store._encode_column
+
+    def interrupted(name, kind, rows):
+        if name == "score":
+            raise KeyboardInterrupt
+        return encode(name, kind, rows)
+
+    monkeypatch.setattr(store, "_encode_column", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        store.batch()
+    monkeypatch.undo()
+    assert store.pending() == 0
+    assert_store_matches_rebuild(table, "after interrupted flush")
+    assert store.rebuilds == 2

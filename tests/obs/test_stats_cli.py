@@ -18,6 +18,20 @@ class TestStatsWorkload:
         assert counters["rules.matches"] > 0
         assert report["remote"]["counters"]["delivery.acked{queue=remote}"] > 0
 
+    def test_columnar_maintenance_is_visible(self):
+        report = run_stats_workload(events=40)
+        local = report["local"]["gauges"]
+        assert local["columnar.rebuilds{table=orders}"] == 1
+        assert local["columnar.append_batches{table=orders}"] == 1
+        assert local["columnar.patched_rows{table=orders}"] == 0
+        remote = {
+            key.partition("{")[0]: value
+            for key, value in report["remote"]["gauges"].items()
+            if key.startswith("columnar.")
+        }
+        assert remote["columnar.rebuilds"] == 1
+        assert remote["columnar.patched_rows"] > 0
+
     def test_sample_trace_covers_capture_to_delivery(self):
         report = run_stats_workload(events=20)
         trace = report["trace"]
