@@ -12,9 +12,8 @@ Claims probed:
   accounting across process boundaries).
 
 Scale-out on a box with fewer cores than shards cannot show real
-speedup — every row records ``cores`` so downstream acceptance checks
-(``bench_pr7_report.py``) can apply the scaling bars only where the
-hardware can express them.
+speedup — every row records ``cores`` so the scaling bars (EXPERIMENTS.md,
+EXP-11) are applied only where the hardware can express them.
 
 Run standalone:  python benchmarks/bench_exp11_sharding.py [--quick]
 """

@@ -214,8 +214,8 @@ def _timed_batch_arm(n: int, batch: int, passes: int = 3) -> float:
 def test_exp3_batch_scaling_no_cliff():
     """Regression: larger batches must not throttle throughput.
 
-    BENCH_PR4 recorded enqueue_batch(256) at 16.3k msgs/s vs 29.7k for
-    batch-64 — a cliff that turned out to be gen-2 GC pauses from
+    PR 4's run (EXPERIMENTS.md, EXP-3) recorded enqueue_batch(256) at
+    16.3k msgs/s vs 29.7k for batch-64 — a cliff that turned out to be gen-2 GC pauses from
     *earlier arms'* garbage landing inside the 256 arm, not a cost of
     the batch path itself.  With per-arm heap isolation (gc.collect()
     before every timed region) batch-256 amortizes at least as well as

@@ -55,15 +55,9 @@ def rule_text(i: int, count: int, rng: random.Random) -> str:
 
 
 def build_engine(mode: str, count: int, seed: int = 7) -> RuleEngine:
-    """``mode`` is an EXP-4 arm: ``naive`` and ``indexed`` evaluate
-    conditions by interpreting the AST (the ablation baselines);
-    ``compiled`` is the indexed engine with conditions lowered to
-    closures at registration time."""
+    """``mode`` is an EXP-4 arm: ``naive`` or ``indexed``."""
     rng = random.Random(seed)
-    if mode == "compiled":
-        engine = RuleEngine(mode="indexed", compiled=True)
-    else:
-        engine = RuleEngine(mode=mode, compiled=False)
+    engine = RuleEngine(mode=mode)
     for i in range(count):
         engine.add(f"r{i}", rule_text(i, count, rng))
     return engine
@@ -91,8 +85,8 @@ def _timed_eval(
     """Best-of-``passes`` wall time for one full pass over ``events``,
     plus the condition-evaluation count of a single pass.
 
-    Warmup first: building 10k+ rule sets (ASTs, and for the compiled
-    arm their closure graphs) leaves the collector mid-cycle; without a
+    Warmup first: building 10k+ rule sets (ASTs and their closure
+    graphs) leaves the collector mid-cycle; without a
     ``gc.collect()`` the first pass pays generation-2 collections
     proportional to registration-time allocations, drowning the
     per-event signal.  Warmup also forces first-call effects (index
@@ -120,7 +114,7 @@ def run_experiment(
     rows: list[dict] = []
     for count in rule_counts:
         events = event_stream(events_per_point, count)
-        for mode in ("naive", "indexed", "compiled"):
+        for mode in ("naive", "indexed"):
             if mode == "naive" and count > 10_000:
                 # Extrapolating naive beyond 10k would dominate runtime;
                 # measure a slice and scale (documented, not hidden).
@@ -146,7 +140,7 @@ def run_experiment(
 # -- pytest-benchmark ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["naive", "indexed", "compiled"])
+@pytest.mark.parametrize("mode", ["naive", "indexed"])
 def test_exp4_evaluate_1k_rules(benchmark, mode):
     engine = build_engine(mode, 1_000)
     events = event_stream(100, 1_000)
@@ -184,39 +178,16 @@ def test_exp4_shape():
         data[(10_000, "indexed")]["conditions_per_event"]
         < data[(10_000, "naive")]["conditions_per_event"] / 10
     )
-    # Compiling conditions changes how each condition is evaluated, not
-    # which conditions are evaluated: identical counts, lower cost.
-    assert (
-        data[(10_000, "compiled")]["conditions_per_event"]
-        == data[(10_000, "indexed")]["conditions_per_event"]
-    )
-    # Regression guard for the PR 6 fix: compiled must never invert —
-    # it used to lose at 10k rules because the compiled closure graph
-    # tripled the GC-tracked object population (walked on every gen-2
-    # collection).  Fused single-closure comparisons keep it ahead at
-    # every measured point; the 1.05 factor absorbs timer noise only.
-    for count in (100, 1_000, 10_000):
-        assert (
-            data[(count, "compiled")]["us_per_event"]
-            <= data[(count, "indexed")]["us_per_event"] * 1.05
-        ), f"compiled slower than indexed at {count} rules"
 
 
 def test_exp4_correctness_at_scale():
-    """Indexed, naive, and compiled agree on every match at 5k rules."""
+    """Indexed and naive agree on every match at 5k rules."""
     indexed = build_engine("indexed", 5_000)
     naive = build_engine("naive", 5_000)
-    compiled = build_engine("compiled", 5_000)
     for event in event_stream(50, 5_000, seed=99):
         a = {m.rule.rule_id for m in indexed.evaluate(event, run_actions=False)}
         b = {m.rule.rule_id for m in naive.evaluate(event, run_actions=False)}
-        c = {m.rule.rule_id for m in compiled.evaluate(event, run_actions=False)}
-        assert a == b == c
-    # Compilation must not change the amount of work the index admits.
-    assert (
-        compiled.stats["conditions_evaluated"]
-        == indexed.stats["conditions_evaluated"]
-    )
+        assert a == b
 
 
 def main(quick: bool = False) -> None:

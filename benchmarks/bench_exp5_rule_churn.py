@@ -150,8 +150,6 @@ def test_exp5_shape():
     assert lazy["mutation_ms_per_round"] < eager["mutation_ms_per_round"]
     # Churn must not break correctness: candidates == brute force after
     # heavy churn.
-    from repro.db.expr import evaluate_predicate
-
     rng = random.Random(77)
     index = PredicateIndex()
     rules = {}
@@ -171,12 +169,12 @@ def test_exp5_shape():
         brute = {
             rule_id
             for rule_id, rule in rules.items()
-            if evaluate_predicate(rule.condition, context)
+            if rule.compiled_condition(context)
         }
         indexed = {
             rule.rule_id
             for rule in index.candidates(context)
-            if evaluate_predicate(rule.condition, context)
+            if rule.compiled_condition(context)
         }
         assert indexed == brute
 

@@ -9,7 +9,6 @@ Public entry point: :class:`repro.db.Database`.
 """
 
 from repro.db.database import Connection, Database
-from repro.db.engine import StorageEngine
 from repro.db.schema import Column, TableSchema
 from repro.db.types import (
     BOOL,
@@ -24,7 +23,6 @@ from repro.db.triggers import Trigger, TriggerEvent, TriggerTiming
 
 __all__ = [
     "Database",
-    "StorageEngine",
     "Connection",
     "Column",
     "TableSchema",

@@ -58,9 +58,9 @@ Column encodings:
 
 GC note: after a flush the store retains O(columns) numpy arrays and
 nothing per row; between flushes the log adds two dicts whose values
-are rows the heap already owns — BENCH_PR4's perf cliffs were gen-2 GC
-walks over per-row Python objects, and this layer must not reintroduce
-one (regression-gated by ``tests/perf/test_columnar_gc.py`` and
+are rows the heap already owns — the batch-256 cliff EXPERIMENTS.md
+records under EXP-3 was gen-2 GC walks over per-row Python objects, and
+this layer must not reintroduce one (regression-gated by ``tests/perf/test_columnar_gc.py`` and
 ``test_columnar_patch.py``).
 """
 

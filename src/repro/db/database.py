@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.clock import Clock, WallClock
 from repro.db.catalog import Catalog
-from repro.db.engine import StorageEngine
 from repro.db.expr import (
     Expression,
     compile_expression,
@@ -215,13 +214,31 @@ class Connection:
         return self.transaction
 
 
-class Database(StorageEngine):
-    """An embedded database instance — the reference
-    :class:`~repro.db.engine.StorageEngine`.
+class Database:
+    """An embedded database instance: a process-local journal, catalog,
+    transaction manager, and DML core.
 
-    In the sharded deployment (:mod:`repro.shard`) each worker process
-    owns one of these; everything above the engine interface is shared
-    between the single-process and sharded paths.
+    Queue tables, brokers, capture sources and materialized views are
+    built on this class.  In the sharded deployment (:mod:`repro.shard`)
+    each worker process owns one, so a shard is simply "a ``Database``
+    behind the same API" and the single-process and sharded deployments
+    share every line of queue/pub-sub code.
+
+    Instance attributes the layers above read directly, on hot paths:
+
+    ``clock``
+        The :class:`repro.clock.Clock` every timestamp the queue layer
+        produces comes from.
+    ``catalog``
+        The :class:`repro.db.catalog.Catalog` of live tables.
+    ``wal``
+        The :class:`repro.db.wal.WriteAheadLog`.
+    ``obs``
+        The :class:`repro.obs.metrics.MetricsRegistry`; components bind
+        their instruments from it once, at construction.
+    ``faults``
+        Optional :class:`repro.faults.FaultInjector` shared by every
+        failpoint site reachable through this database (may be ``None``).
 
     Args:
         path: optional WAL file path; when set, the journal persists
@@ -463,8 +480,11 @@ class Database(StorageEngine):
     def run_in_transaction(
         self, conn: Connection | None, work: Callable[[Connection], Any]
     ) -> Any:
-        """Public name for :meth:`_with_transaction` (the
-        :class:`~repro.db.engine.StorageEngine` contract)."""
+        """Run ``work`` in the caller's transaction or an implicit one.
+
+        With ``conn`` given, ``work`` joins its open transaction; with
+        ``conn=None`` a scratch transaction is opened around it (commit
+        on return, rollback on raise)."""
         return self._with_transaction(conn, work)
 
     # -- DDL ------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""Expression AST and evaluator with SQL three-valued logic.
+"""Expression AST and its scalar compiler, with SQL three-valued logic.
 
 This module is the single expression engine for the whole platform:
 SQL ``WHERE`` clauses, ``CHECK`` constraints, trigger ``WHEN`` clauses,
 the rule engine's "expressions as data", continuous-query filters, and
-pub/sub content filters all evaluate the same AST.
+pub/sub content filters all evaluate the same AST, and all of them do
+it through one evaluator: :func:`compile_expression` lowers a tree to a
+closure.  (The batch kernels for the columnar path live in
+:mod:`repro.db.expr_vector`; the tree-walking reference the tests
+compare against lives in ``tests/reference/expr_oracle.py``.)
 
 Evaluation follows SQL semantics: any comparison involving NULL yields
 UNKNOWN (Python ``None``), and AND/OR/NOT implement Kleene logic.
 
-The analysis helpers at the bottom (:func:`conjuncts`,
+Trees are immutable once built.  :func:`rewrite` is the one way to
+derive a tree from another, and it returns the original node wherever
+nothing below it changed, so per-node memos survive.
+
+The analysis helpers (:func:`conjuncts`,
 :meth:`Expression.as_equality`, :meth:`Expression.as_range`) are what
 the rule-engine predicate index (EXP-4) is built on.
 """
@@ -34,7 +42,7 @@ class Expression:
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
         """Evaluate against a row (mapping of column name to value)."""
-        raise NotImplementedError
+        return compile_expression(self)(row)
 
     def referenced_columns(self) -> frozenset[str]:
         """All column names this expression reads (memoized per node).
@@ -62,6 +70,20 @@ class Expression:
     def children(self) -> Iterator["Expression"]:
         return iter(())
 
+    def with_children(self, children: list["Expression"]) -> "Expression":
+        """A copy of this node over ``children`` (given in the order
+        :meth:`children` yields them).  Only nodes that have children
+        implement it; :func:`rewrite` is the caller."""
+        raise NotImplementedError
+
+    def lower(self) -> "_CompiledFn":
+        """The closure for a node class :func:`compile_expression` has
+        no built-in lowering for (the statement-level nodes in
+        :mod:`repro.db.sql.ast` override this)."""
+        raise ExpressionError(
+            f"cannot compile expression node {type(self).__name__}"
+        )
+
     # -- analysis hooks used by the predicate index ---------------------
 
     def as_equality(self) -> tuple[str, Any] | None:
@@ -85,9 +107,6 @@ class Literal(Expression):
 
     def __repr__(self) -> str:
         return repr(self.value)
-
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        return self.value
 
 
 class ColumnRef(Expression):
@@ -115,15 +134,6 @@ class ColumnRef(Expression):
             return f"{self.qualifier}.{self.name}"
         return self.name
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        if self.qualifier:
-            qualified = f"{self.qualifier}.{self.name}"
-            if qualified in row:
-                return row[qualified]
-        if self.name in row:
-            return row[self.name]
-        raise ExpressionError(f"unknown column {self.full_name!r}")
-
     def _collect_columns(self, into: set[str]) -> None:
         into.add(self.name)
 
@@ -145,24 +155,13 @@ class Parameter(Expression):
     def __repr__(self) -> str:
         return f"?{self.index + 1}"
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        raise ExpressionError(f"unbound parameter ?{self.index + 1}")
-
-
-def _is_unknown(value: Any) -> bool:
-    return value is None
-
-
-def _truthy(value: Any) -> bool:
-    """SQL condition result to Python bool: UNKNOWN/NULL counts as false."""
-    return bool(value) and value is not None
-
 
 _ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
+    "+": _operator.add,
+    "-": _operator.sub,
+    "*": _operator.mul,
+    "/": _operator.truediv,
+    "%": _operator.mod,
 }
 
 _COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
@@ -185,66 +184,8 @@ class BinaryOp(Expression):
         yield self.left
         yield self.right
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        if self.op == "AND":
-            left = self.left.evaluate(row)
-            if not _is_unknown(left) and not _truthy(left):
-                return False  # FALSE AND anything = FALSE (short circuit)
-            right = self.right.evaluate(row)
-            if not _is_unknown(right) and not _truthy(right):
-                return False
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            return True
-        if self.op == "OR":
-            left = self.left.evaluate(row)
-            if _truthy(left):
-                return True  # TRUE OR anything = TRUE (short circuit)
-            right = self.right.evaluate(row)
-            if _truthy(right):
-                return True
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            return False
-
-        left = self.left.evaluate(row)
-        right = self.right.evaluate(row)
-        if self.op in _COMPARISONS:
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            cmp = compare_values(left, right)
-            if self.op == "=":
-                return cmp == 0
-            if self.op == "!=":
-                return cmp != 0
-            if self.op == "<":
-                return cmp < 0
-            if self.op == "<=":
-                return cmp <= 0
-            if self.op == ">":
-                return cmp > 0
-            return cmp >= 0
-        if self.op == "||":
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            return str(left) + str(right)
-        if self.op == "/":
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            if right == 0:
-                raise ExpressionError("division by zero")
-            return left / right
-        if self.op in _ARITHMETIC:
-            if _is_unknown(left) or _is_unknown(right):
-                return None
-            try:
-                return _ARITHMETIC[self.op](left, right)
-            except TypeError:
-                raise ExpressionError(
-                    f"operator {self.op!r} not applicable to "
-                    f"{type(left).__name__} and {type(right).__name__}"
-                ) from None
-        raise ExpressionError(f"unknown operator {self.op!r}")
+    def with_children(self, children: list[Expression]) -> Expression:
+        return BinaryOp(self.op, *children)
 
     def as_equality(self) -> tuple[str, Any] | None:
         if self.op != "=":
@@ -297,17 +238,8 @@ class UnaryOp(Expression):
     def children(self) -> Iterator[Expression]:
         yield self.operand
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if self.op == "NOT":
-            if _is_unknown(value):
-                return None
-            return not _truthy(value)
-        if self.op == "-":
-            if _is_unknown(value):
-                return None
-            return -value
-        raise ExpressionError(f"unknown unary operator {self.op!r}")
+    def with_children(self, children: list[Expression]) -> Expression:
+        return UnaryOp(self.op, *children)
 
 
 class IsNull(Expression):
@@ -326,9 +258,8 @@ class IsNull(Expression):
     def children(self) -> Iterator[Expression]:
         yield self.operand
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        is_null = self.operand.evaluate(row) is None
-        return not is_null if self.negated else is_null
+    def with_children(self, children: list[Expression]) -> Expression:
+        return IsNull(children[0], self.negated)
 
 
 class InList(Expression):
@@ -352,20 +283,8 @@ class InList(Expression):
         yield self.operand
         yield from self.items
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        saw_null = False
-        for item in self.items:
-            candidate = item.evaluate(row)
-            if candidate is None:
-                saw_null = True
-            elif compare_values(value, candidate) == 0:
-                return not self.negated
-        if saw_null:
-            return None
-        return self.negated
+    def with_children(self, children: list[Expression]) -> Expression:
+        return InList(children[0], children[1:], self.negated)
 
 
 class Between(Expression):
@@ -394,14 +313,8 @@ class Between(Expression):
         yield self.low
         yield self.high
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        low = self.low.evaluate(row)
-        high = self.high.evaluate(row)
-        if value is None or low is None or high is None:
-            return None
-        inside = compare_values(value, low) >= 0 and compare_values(value, high) <= 0
-        return not inside if self.negated else inside
+    def with_children(self, children: list[Expression]) -> Expression:
+        return Between(*children, negated=self.negated)
 
     def as_range(self) -> tuple[str, Any, Any, bool, bool] | None:
         if self.negated:
@@ -440,18 +353,8 @@ class Like(Expression):
         yield self.operand
         yield self.pattern
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        regex = self._regex
-        if regex is None:
-            pattern_value = self.pattern.evaluate(row)
-            if pattern_value is None:
-                return None
-            regex = _like_to_regex(str(pattern_value))
-        matched = regex.fullmatch(str(value)) is not None
-        return not matched if self.negated else matched
+    def with_children(self, children: list[Expression]) -> Expression:
+        return Like(*children, negated=self.negated)
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
@@ -494,13 +397,12 @@ class Case(Expression):
         if self.default is not None:
             yield self.default
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        for condition, value in self.branches:
-            if _truthy(condition.evaluate(row)):
-                return value.evaluate(row)
-        if self.default is not None:
-            return self.default.evaluate(row)
-        return None
+    def with_children(self, children: list[Expression]) -> Expression:
+        paired = 2 * len(self.branches)
+        return Case(
+            list(zip(children[0:paired:2], children[1:paired:2])),
+            children[paired] if self.default is not None else None,
+        )
 
 
 def _fn_coalesce(*args: Any) -> Any:
@@ -568,12 +470,8 @@ class FunctionCall(Expression):
     def children(self) -> Iterator[Expression]:
         yield from self.args
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        values = [arg.evaluate(row) for arg in self.args]
-        try:
-            return _FUNCTIONS[self.name](*values)
-        except (ValueError, TypeError) as exc:
-            raise ExpressionError(f"{self.name}(): {exc}") from None
+    def with_children(self, children: list[Expression]) -> Expression:
+        return FunctionCall(self.name, children)
 
 
 # --------------------------------------------------------------------------
@@ -732,14 +630,34 @@ def conjuncts(expression: Expression) -> list[Expression]:
     return [expression]
 
 
-def evaluate_predicate(expression: Expression, row: Mapping[str, Any]) -> bool:
-    """Evaluate a boolean expression, mapping UNKNOWN to False."""
-    return _truthy(expression.evaluate(row))
+# --------------------------------------------------------------------------
+# Tree rewriting and parameter binding
+# --------------------------------------------------------------------------
 
 
-# --------------------------------------------------------------------------
-# Parameter binding
-# --------------------------------------------------------------------------
+def rewrite(
+    expression: Expression, visit: Callable[[Expression], Expression | None]
+) -> Expression:
+    """Derive a tree from ``expression``, sharing everything unchanged.
+
+    ``visit(node)`` returns a replacement for ``node`` (which may be
+    ``node`` itself; either way descent stops there) or None to rewrite
+    the node's children.  A node none of whose children changed is
+    returned as is, not copied — so an untouched subtree keeps its
+    identity and with it the compiled-closure and referenced-column
+    memos stored on its nodes.
+    """
+    replacement = visit(expression)
+    if replacement is not None:
+        return replacement
+    changed = False
+    children = []
+    for child in expression.children():
+        rewritten = rewrite(child, visit)
+        if rewritten is not child:
+            changed = True
+        children.append(rewritten)
+    return expression.with_children(children) if changed else expression
 
 
 def contains_parameters(expression: Expression) -> bool:
@@ -762,66 +680,18 @@ def contains_parameters(expression: Expression) -> bool:
 def substitute_parameters(
     expression: Expression, params: tuple[Any, ...]
 ) -> Expression:
-    """Rewrite ``?`` placeholders into literals, sharing param-free subtrees.
-
-    Unchanged subtrees are returned by identity so their compiled-closure
-    and referenced-column memos keep paying off across executions.
-    """
+    """Rewrite ``?`` placeholders into literals, sharing param-free subtrees."""
     if not contains_parameters(expression):
         return expression
-    if isinstance(expression, Parameter):
-        if expression.index >= len(params):
-            raise ExpressionError(f"unbound parameter ?{expression.index + 1}")
-        return Literal(params[expression.index])
-    sub = substitute_parameters
-    if isinstance(expression, BinaryOp):
-        return BinaryOp(
-            expression.op,
-            sub(expression.left, params),
-            sub(expression.right, params),
-        )
-    if isinstance(expression, UnaryOp):
-        return UnaryOp(expression.op, sub(expression.operand, params))
-    if isinstance(expression, IsNull):
-        return IsNull(sub(expression.operand, params), expression.negated)
-    if isinstance(expression, InList):
-        return InList(
-            sub(expression.operand, params),
-            [sub(item, params) for item in expression.items],
-            expression.negated,
-        )
-    if isinstance(expression, Between):
-        return Between(
-            sub(expression.operand, params),
-            sub(expression.low, params),
-            sub(expression.high, params),
-            expression.negated,
-        )
-    if isinstance(expression, Like):
-        return Like(
-            sub(expression.operand, params),
-            sub(expression.pattern, params),
-            expression.negated,
-        )
-    if isinstance(expression, Case):
-        return Case(
-            [
-                (sub(condition, params), sub(value, params))
-                for condition, value in expression.branches
-            ],
-            (
-                sub(expression.default, params)
-                if expression.default is not None
-                else None
-            ),
-        )
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name, [sub(arg, params) for arg in expression.args]
-        )
-    raise ExpressionError(
-        f"parameters are not supported inside {type(expression).__name__}"
-    )
+
+    def visit(node: Expression) -> Expression | None:
+        if isinstance(node, Parameter):
+            if node.index >= len(params):
+                raise ExpressionError(f"unbound parameter ?{node.index + 1}")
+            return Literal(params[node.index])
+        return None if contains_parameters(node) else node
+
+    return rewrite(expression, visit)
 
 
 # --------------------------------------------------------------------------
@@ -831,10 +701,12 @@ def substitute_parameters(
 # ``compile_expression`` lowers an AST into a single Python closure:
 # constant subtrees are folded at compile time, AND/OR keep Kleene
 # short-circuit semantics, column lookups are pre-resolved, and constant
-# LIKE patterns reuse their pre-built regex.  Node types the compiler
-# does not cover (aggregates, subquery placeholders, user extensions)
-# fall back to the interpreted ``evaluate`` bound method, so compiled
-# and interpreted evaluation always agree.
+# LIKE patterns reuse their pre-built regex.  Node classes defined
+# elsewhere (aggregates, subquery placeholders) supply their own closure
+# through ``Expression.lower``.  Compiling never raises for a tree the
+# parser can produce: anything that cannot be evaluated (an unbound
+# parameter, ``5 % 0``) lowers to a closure that raises
+# ``ExpressionError`` when it is called.
 #
 # Closures are memoized per node (``_compiled_memo``), so shared
 # sub-trees — and rule conditions evaluated millions of times — compile
@@ -846,15 +718,15 @@ def substitute_parameters(
 # shapes are fused into one closure each.  Both choices exist for the
 # same reason: every function object, cell, and closure tuple a rule
 # set retains is walked by each full garbage collection, and at 10k+
-# registered rules that walk is what used to make the compiled path
-# *slower* than the interpreted one.  Fusing cuts the per-rule
-# long-lived object count roughly 3x (and saves a call per operand).
+# registered rules that walk dominated rule evaluation.  Fusing cuts the
+# per-rule long-lived object count roughly 3x (and saves a call per
+# operand).
 
 _CompiledFn = Callable[[Mapping[str, Any]], Any]
 
 
 def compile_expression(expression: Expression) -> _CompiledFn:
-    """Return a closure equivalent to ``expression.evaluate`` (memoized)."""
+    """Lower ``expression`` to a closure ``fn(row) -> value`` (memoized)."""
     fn = expression.__dict__.get("_compiled_memo")
     if fn is None:
         fn, const = _compile_node(expression)
@@ -866,7 +738,7 @@ def compile_expression(expression: Expression) -> _CompiledFn:
 def compile_predicate(
     expression: Expression,
 ) -> Callable[[Mapping[str, Any]], bool]:
-    """Compiled :func:`evaluate_predicate`: UNKNOWN maps to False."""
+    """Lower ``expression`` to ``fn(row) -> bool``: UNKNOWN maps to False."""
     pred = expression.__dict__.get("_predicate_memo")
     if pred is None:
         fn = compile_expression(expression)
@@ -893,13 +765,28 @@ def _fold_constant(fn: _CompiledFn) -> tuple[_CompiledFn, bool]:
     """Evaluate a closure with all-constant inputs once, at compile time.
 
     Errors (division by zero, type mismatches) are left to evaluation
-    time so compiled trees raise exactly where interpreted ones do.
+    time: registering a rule or planning a statement never raises them.
     """
     try:
         value = fn({})
     except ExpressionError:
         return fn, False
     return (lambda row: value), True
+
+
+def raises_at_evaluation(message: str) -> _CompiledFn:
+    """The lowering of a node that may exist in a tree but never be
+    evaluated: compiles fine, raises ``ExpressionError`` when called."""
+
+    def raise_fn(row: Mapping[str, Any], _message: str = message) -> Any:
+        raise ExpressionError(_message)
+
+    return raise_fn
+
+
+def _not_applicable(op: str, *values: Any) -> ExpressionError:
+    types = " and ".join(type(value).__name__ for value in values)
+    return ExpressionError(f"operator {op!r} not applicable to {types}")
 
 
 def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
@@ -909,9 +796,9 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
         return (lambda row: value), True
 
     if isinstance(node, ColumnRef):
-        # Mirrors ColumnRef.evaluate exactly: ``in`` + ``[]`` so mapping
-        # types with __contains__/__missing__ overrides (EventContext)
-        # behave identically under compiled evaluation.
+        # ``in`` + ``[]``, never ``.get``: mapping types that override
+        # __contains__/__missing__ (EventContext reads absent keys as
+        # NULL) must see their own protocol.
         if node.qualifier:
             name = node.name
             qualified = node.full_name
@@ -933,12 +820,7 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
         return bare_fn, False
 
     if isinstance(node, Parameter):
-        index = node.index
-
-        def unbound_fn(row: Mapping[str, Any]) -> Any:
-            raise ExpressionError(f"unbound parameter ?{index + 1}")
-
-        return unbound_fn, False
+        return raises_at_evaluation(f"unbound parameter ?{node.index + 1}"), False
 
     if isinstance(node, BinaryOp):
         return _compile_binary(node)
@@ -959,10 +841,14 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
                 value = operand_fn(row)
                 if value is None:
                     return None
-                return -value
+                try:
+                    return -value
+                except TypeError:
+                    raise _not_applicable("-", value) from None
 
         else:
-            return node.evaluate, False
+            message = f"unknown unary operator {node.op!r}"
+            return raises_at_evaluation(message), False
         return _fold_constant(not_fn) if const else (not_fn, False)
 
     if isinstance(node, IsNull):
@@ -1170,7 +1056,7 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
     if isinstance(node, FunctionCall):
         # Never folded: registered functions may be impure, and
         # re-registration under the same name must take effect — so the
-        # registry is consulted per call, exactly like evaluate().
+        # registry is consulted per call.
         name = node.name
         arg_fns = [_compile_child(arg)[0] for arg in node.args]
 
@@ -1183,8 +1069,8 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
 
         return call_fn, False
 
-    # Aggregates, subquery placeholders, user-defined nodes: interpreted.
-    return node.evaluate, False
+    # Aggregates and subquery placeholders bring their own closure.
+    return node.lower(), False
 
 
 # Comparison result (-1/0/1 from compare_values) -> acceptable values.
@@ -1336,12 +1222,14 @@ def _compile_binary(node: BinaryOp) -> tuple[_CompiledFn, bool]:
                 return None
             return str(left) + str(right)
 
-    elif op == "/":
+    elif op in ("/", "%"):
 
         def bin_fn(
             row: Mapping[str, Any],
             _left: _CompiledFn = left_fn,
             _right: _CompiledFn = right_fn,
+            _arith: Callable[[Any, Any], Any] = _ARITHMETIC[op],
+            _op: str = op,
         ) -> Any:
             left = _left(row)
             right = _right(row)
@@ -1349,16 +1237,18 @@ def _compile_binary(node: BinaryOp) -> tuple[_CompiledFn, bool]:
                 return None
             if right == 0:
                 raise ExpressionError("division by zero")
-            return left / right
+            try:
+                return _arith(left, right)
+            except (TypeError, ValueError):
+                raise _not_applicable(_op, left, right) from None
 
     elif op in _ARITHMETIC:
-        arith = _ARITHMETIC[op]
 
         def bin_fn(
             row: Mapping[str, Any],
             _left: _CompiledFn = left_fn,
             _right: _CompiledFn = right_fn,
-            _arith: Callable[[Any, Any], Any] = arith,
+            _arith: Callable[[Any, Any], Any] = _ARITHMETIC[op],
             _op: str = op,
         ) -> Any:
             left = _left(row)
@@ -1368,13 +1258,10 @@ def _compile_binary(node: BinaryOp) -> tuple[_CompiledFn, bool]:
             try:
                 return _arith(left, right)
             except TypeError:
-                raise ExpressionError(
-                    f"operator {_op!r} not applicable to "
-                    f"{type(left).__name__} and {type(right).__name__}"
-                ) from None
+                raise _not_applicable(_op, left, right) from None
 
     else:
-        return node.evaluate, False
+        return raises_at_evaluation(f"unknown operator {op!r}"), False
 
     return _fold_constant(bin_fn) if both_const else (bin_fn, False)
 
@@ -1424,691 +1311,3 @@ def compile_delta_update(
         return group, {output: fn(row) for output, fn in _items}
 
     return delta_fn
-
-
-# --------------------------------------------------------------------------
-# Vectorized compilation (columnar fast path)
-# --------------------------------------------------------------------------
-#
-# ``compile_vector_predicate`` / ``compile_vector_extractor`` lower the
-# same AST the row path compiles into batch kernels over a
-# :class:`repro.db.columnar.ColumnBatch`.  Three-valued logic is carried
-# explicitly: every boolean result is a pair ``(truth, nulls)`` of
-# aligned masks with the invariant ``truth[nulls] == False`` (UNKNOWN is
-# never true), so Kleene AND/OR compose by plain mask algebra.
-#
-# The contract with the row path is *fallback, never divergence*: any
-# node shape whose vectorized semantics would not match ``evaluate``
-# exactly — impure functions, CASE, string concatenation, per-row
-# division-by-zero hazards, text-vs-text column comparisons, constants
-# outside the int64-safe range in arithmetic — raises
-# :class:`VectorFallback` at compile time, and the executor reruns the
-# statement on the row path.  Kernels may also raise it at *runtime*
-# (a column the store could not encode); the executor treats both alike.
-#
-# ``compare_values`` gives the engine one quirk the kernels exploit:
-# cross-type comparisons degrade to comparing *type names*, so a numeric
-# column compared against a string constant has a constant result for
-# every non-null row ("int"/"float" < "str") — compiled to a constant
-# mask rather than falling back.
-
-_VECTOR_CMP: dict[str, Callable[[Any, Any], Any]] = {
-    "=": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-}
-
-_VECTOR_ARITH: dict[str, Callable[[Any, Any], Any]] = {
-    "+": _operator.add,
-    "-": _operator.sub,
-    "*": _operator.mul,
-}
-
-#: Integer constants beyond this magnitude can overflow int64 kernels
-#: in *arithmetic* (numpy raises OverflowError); comparisons are exact
-#: for arbitrary Python ints and need no guard.
-_INT64_ARITH_BOUND = 2**62
-
-
-class VectorFallback(Exception):
-    """This expression (or this batch) cannot be vectorized; the caller
-    must rerun on the row path, which has identical semantics."""
-
-
-def _vector_np() -> Any:
-    from repro.db.columnar import np
-
-    if np is None:
-        raise VectorFallback("numpy unavailable")
-    return np
-
-
-_PURE_CONST_NODES = (Literal, BinaryOp, UnaryOp, IsNull, InList, Between, Like, Case)
-
-
-def _pure_constant(node: Expression) -> bool:
-    """Whether a column-free subtree may be folded at compile time.
-
-    Parameters, function calls (possibly impure, re-registrable), and
-    unknown node classes are excluded — mirroring the row compiler,
-    which never folds FunctionCall.
-    """
-    if not isinstance(node, _PURE_CONST_NODES):
-        return False
-    return all(_pure_constant(child) for child in node.children())
-
-
-def _vector_const(node: Expression) -> Any:
-    try:
-        return compile_expression(node)({})
-    except (ExpressionError, TypeError, ValueError, ZeroDivisionError):
-        # The row path raises at evaluation; fall back so it does.
-        raise VectorFallback("constant subtree raises at evaluation") from None
-
-
-def _name_sign(a: str, b: str) -> int:
-    return (a > b) - (a < b)
-
-
-def _cross_type_sign(side_class: str, const: Any) -> int | None:
-    """The constant ``compare_values`` sign for every non-null value of
-    a column class against a constant of an unrelated type, or None when
-    the sign is not uniform (int and float names straddle the constant's
-    type name)."""
-    tname = type(const).__name__
-    if side_class == "num":
-        s_int = _name_sign("int", tname)
-        s_float = _name_sign("float", tname)
-        if s_int == s_float and s_int != 0:
-            return s_int
-        return None
-    sign = _name_sign("str", tname)
-    return sign if sign != 0 else None
-
-
-def _as_bool_closure(flavor: str, fn: Any, np: Any) -> Callable[[Any], tuple[Any, Any]]:
-    """Adapt any flavor to boolean ``(truth, nulls)`` with SQL truthiness
-    (``_truthy``): nonzero numbers and non-empty strings are true."""
-    if flavor == "bool":
-        return fn
-    if flavor == "const":
-        truth = np.bool_(_truthy(fn))
-        null = np.bool_(fn is None)
-
-        def const_fn(batch: Any, _t: Any = truth, _n: Any = null) -> tuple[Any, Any]:
-            return _t, _n
-
-        return const_fn
-    if flavor == "num":
-
-        def num_fn(batch: Any, _fn: Any = fn) -> tuple[Any, Any]:
-            values, nulls = _fn(batch)
-            return (values != 0) & ~nulls, nulls
-
-        return num_fn
-
-    def text_fn(batch: Any, _fn: Any = fn, _np: Any = np) -> tuple[Any, Any]:
-        codes, nulls, dictionary = _fn(batch)
-        if dictionary.shape[0] == 0:
-            return _np.zeros(codes.shape[0], dtype=bool), nulls
-        lookup = _np.fromiter(
-            (len(s) > 0 for s in dictionary), dtype=bool, count=dictionary.shape[0]
-        )
-        return lookup[codes] & ~nulls, nulls
-
-    return text_fn
-
-
-def _as_num_closure(flavor: str, fn: Any, np: Any) -> Any:
-    """Adapt bool results to int64 value arrays (matching the bool→int
-    fold ``compare_values`` and Python arithmetic both apply)."""
-    if flavor == "num":
-        return fn
-    if flavor == "bool":
-
-        def conv(batch: Any, _fn: Any = fn, _np: Any = np) -> tuple[Any, Any]:
-            truth, nulls = _fn(batch)
-            return truth.astype(_np.int64), nulls
-
-        return conv
-    raise VectorFallback(f"flavor {flavor!r} not numeric")
-
-
-def _vc_cmp_text_const(fn: Any, op: str, const: str, np: Any) -> Any:
-    """``text_column <op> string_constant`` on dictionary codes.  The
-    dictionary is sorted, so ordered comparisons are a searchsorted
-    bound on codes and equality is one position probe."""
-
-    def text_cmp_fn(
-        batch: Any, _fn: Any = fn, _op: str = op, _c: str = const, _np: Any = np
-    ) -> tuple[Any, Any]:
-        codes, nulls, dictionary = _fn(batch)
-        valid = ~nulls
-        m = dictionary.shape[0]
-        if m == 0:
-            return _np.zeros(codes.shape[0], dtype=bool), nulls
-        if _op in ("=", "!="):
-            pos = int(_np.searchsorted(dictionary, _c))
-            found = pos < m and dictionary[pos] == _c
-            if _op == "=":
-                if found:
-                    truth = (codes == pos) & valid
-                else:
-                    truth = _np.zeros(codes.shape[0], dtype=bool)
-            else:
-                truth = ((codes != pos) & valid) if found else valid
-        elif _op == "<":
-            truth = (codes < int(_np.searchsorted(dictionary, _c, side="left"))) & valid
-        elif _op == "<=":
-            truth = (codes < int(_np.searchsorted(dictionary, _c, side="right"))) & valid
-        elif _op == ">":
-            truth = (codes >= int(_np.searchsorted(dictionary, _c, side="right"))) & valid
-        else:  # >=
-            truth = (codes >= int(_np.searchsorted(dictionary, _c, side="left"))) & valid
-        return truth, nulls
-
-    return text_cmp_fn
-
-
-def _vc_cmp_const(flavor: str, fn: Any, op: str, const: Any, np: Any) -> Any:
-    """``<array side> <op> <constant>`` as a boolean closure."""
-    if const is None:
-
-        def null_fn(batch: Any, _fn: Any = fn, _np: Any = np) -> tuple[Any, Any]:
-            nulls = _fn(batch)[1]
-            n = nulls.shape[0]
-            return _np.zeros(n, dtype=bool), _np.ones(n, dtype=bool)
-
-        return null_fn
-    if flavor == "bool":
-        return _vc_cmp_const("num", _as_num_closure("bool", fn, np), op, const, np)
-    if isinstance(const, bool):
-        const = int(const)
-    if flavor == "num" and isinstance(const, (int, float)):
-        cmp_fn = _VECTOR_CMP[op]
-
-        def num_cmp_fn(
-            batch: Any, _fn: Any = fn, _c: Any = const, _cmp: Any = cmp_fn
-        ) -> tuple[Any, Any]:
-            values, nulls = _fn(batch)
-            return _cmp(values, _c) & ~nulls, nulls
-
-        return num_cmp_fn
-    if flavor == "text" and isinstance(const, str):
-        return _vc_cmp_text_const(fn, op, const, np)
-    sign = _cross_type_sign("num" if flavor == "num" else "text", const)
-    if sign is None:
-        raise VectorFallback("comparison constant straddles type ordering")
-    truth_const = sign in _CMP_OK[op]
-
-    def const_sign_fn(
-        batch: Any, _fn: Any = fn, _t: bool = truth_const, _np: Any = np
-    ) -> tuple[Any, Any]:
-        nulls = _fn(batch)[1]
-        if _t:
-            return ~nulls, nulls
-        return _np.zeros(nulls.shape[0], dtype=bool), nulls
-
-    return const_sign_fn
-
-
-def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, Any]:
-    op = node.op
-
-    if op in ("AND", "OR"):
-        lflavor, lraw = _vc_node(node.left, kinds, np)
-        rflavor, rraw = _vc_node(node.right, kinds, np)
-        lfn = _as_bool_closure(lflavor, lraw, np)
-        rfn = _as_bool_closure(rflavor, rraw, np)
-        if op == "AND":
-
-            def and_fn(batch: Any, _l: Any = lfn, _r: Any = rfn) -> tuple[Any, Any]:
-                lt, ln = _l(batch)
-                rt, rn = _r(batch)
-                lf = ~lt & ~ln
-                rf = ~rt & ~rn
-                return lt & rt, (ln | rn) & ~lf & ~rf
-
-            return "bool", and_fn
-
-        def or_fn(batch: Any, _l: Any = lfn, _r: Any = rfn) -> tuple[Any, Any]:
-            lt, ln = _l(batch)
-            rt, rn = _r(batch)
-            return lt | rt, (ln | rn) & ~lt & ~rt
-
-        return "bool", or_fn
-
-    if op in _COMPARISONS:
-        lflavor, lraw = _vc_node(node.left, kinds, np)
-        rflavor, rraw = _vc_node(node.right, kinds, np)
-        if lflavor == "const":
-            return "bool", _vc_cmp_const(rflavor, rraw, _CMP_FLIP[op], lraw, np)
-        if rflavor == "const":
-            return "bool", _vc_cmp_const(lflavor, lraw, op, rraw, np)
-        # Array vs array.
-        if lflavor == "text" and rflavor == "text":
-            raise VectorFallback("text-vs-text column comparison")
-        if "text" in (lflavor, rflavor):
-            # Cross-class: compare_values degrades to type names, so the
-            # sign is constant (str sorts after int/float) for valid rows.
-            sign = 1 if lflavor == "text" else -1
-            truth_const = sign in _CMP_OK[op]
-            lnfn = lraw
-            rnfn = rraw
-
-            def cross_fn(
-                batch: Any,
-                _l: Any = lnfn,
-                _r: Any = rnfn,
-                _t: bool = truth_const,
-                _np: Any = np,
-            ) -> tuple[Any, Any]:
-                nulls = _l(batch)[1] | _r(batch)[1]
-                if _t:
-                    return ~nulls, nulls
-                return _np.zeros(nulls.shape[0], dtype=bool), nulls
-
-            return "bool", cross_fn
-        lfn = _as_num_closure(lflavor, lraw, np)
-        rfn = _as_num_closure(rflavor, rraw, np)
-        cmp_fn = _VECTOR_CMP[op]
-
-        def pair_cmp_fn(
-            batch: Any, _l: Any = lfn, _r: Any = rfn, _cmp: Any = cmp_fn
-        ) -> tuple[Any, Any]:
-            lv, ln = _l(batch)
-            rv, rn = _r(batch)
-            nulls = ln | rn
-            return _cmp(lv, rv) & ~nulls, nulls
-
-        return "bool", pair_cmp_fn
-
-    if op in ("+", "-", "*", "/", "%"):
-        lflavor, lraw = _vc_node(node.left, kinds, np)
-        rflavor, rraw = _vc_node(node.right, kinds, np)
-
-        def arith_side(flavor: str, raw: Any) -> Any:
-            if flavor == "const":
-                value = int(raw) if isinstance(raw, bool) else raw
-                if not isinstance(value, (int, float)):
-                    raise VectorFallback("non-numeric arithmetic constant")
-                if isinstance(value, int) and abs(value) > _INT64_ARITH_BOUND:
-                    raise VectorFallback("arithmetic constant exceeds int64 range")
-                return value
-            return _as_num_closure(flavor, raw, np)
-
-        left_side = arith_side(lflavor, lraw)
-        right_side = arith_side(rflavor, rraw)
-
-        if op in ("/", "%"):
-            # Only a nonzero *constant* divisor is safe: with a column
-            # divisor, vector evaluation would visit rows the row path
-            # never evaluates (short circuits, index candidates) and so
-            # could raise where the row path does not — or vice versa.
-            if rflavor != "const" or right_side == 0:
-                raise VectorFallback("division requires nonzero constant divisor")
-            if lflavor == "const":
-                raise VectorFallback("constant dividend over column divisor")
-            apply_fn = _operator.truediv if op == "/" else np.mod
-
-            def div_fn(
-                batch: Any, _l: Any = left_side, _c: Any = right_side, _apply: Any = apply_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _l(batch)
-                return _apply(values, _c), nulls
-
-            return "num", div_fn
-
-        arith_fn = _VECTOR_ARITH[op]
-        if lflavor == "const":
-
-            def const_left_fn(
-                batch: Any, _c: Any = left_side, _r: Any = right_side, _apply: Any = arith_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _r(batch)
-                return _apply(_c, values), nulls
-
-            return "num", const_left_fn
-        if rflavor == "const":
-
-            def const_right_fn(
-                batch: Any, _l: Any = left_side, _c: Any = right_side, _apply: Any = arith_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _l(batch)
-                return _apply(values, _c), nulls
-
-            return "num", const_right_fn
-
-        def pair_arith_fn(
-            batch: Any, _l: Any = left_side, _r: Any = right_side, _apply: Any = arith_fn
-        ) -> tuple[Any, Any]:
-            lv, ln = _l(batch)
-            rv, rn = _r(batch)
-            return _apply(lv, rv), ln | rn
-
-        return "num", pair_arith_fn
-
-    # ``||`` would need runtime dictionary construction; unknown ops
-    # raise on the row path.
-    raise VectorFallback(f"operator {op!r} not vectorized")
-
-
-def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, Any]:
-    """Lower one node; returns ``(flavor, payload)`` where payload is the
-    constant value for flavor ``"const"`` and a batch closure otherwise.
-
-    Closure results by flavor — ``"bool"``: ``(truth, nulls)``;
-    ``"num"``: ``(values, nulls)``; ``"text"``: ``(codes, nulls,
-    dictionary)``.  All arrays are read-only by convention.
-    """
-    if not node.referenced_columns():
-        if not _pure_constant(node):
-            raise VectorFallback(
-                f"unsupported constant node {type(node).__name__}"
-            )
-        return "const", _vector_const(node)
-
-    if isinstance(node, ColumnRef):
-        kind = kinds.get(node.name)
-        if kind is None:
-            # JSON column or unknown name; the row path either handles
-            # it or raises the proper unknown-column error.
-            raise VectorFallback(f"column {node.name!r} not vectorizable")
-        if kind == "text":
-
-            def text_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any, Any]:
-                series = batch.series(_name)
-                if series is None:
-                    raise VectorFallback(f"column {_name!r} not encoded")
-                return series.values, series.nulls, series.dictionary
-
-            return "text", text_col_fn
-
-        if kind == "bool":
-            # Bool columns surface as the "bool" flavor so aggregates
-            # can reproduce the row path's True/False results; numeric
-            # contexts convert via _as_num_closure (bool -> int64).
-
-            def bool_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any]:
-                series = batch.series(_name)
-                if series is None:
-                    raise VectorFallback(f"column {_name!r} not encoded")
-                return series.values != 0, series.nulls
-
-            return "bool", bool_col_fn
-
-        def num_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any]:
-            series = batch.series(_name)
-            if series is None:
-                raise VectorFallback(f"column {_name!r} not encoded")
-            return series.values, series.nulls
-
-        return "num", num_col_fn
-
-    if isinstance(node, BinaryOp):
-        return _vc_binary(node, kinds, np)
-
-    if isinstance(node, UnaryOp):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if node.op == "NOT":
-            bool_fn = _as_bool_closure(flavor, raw, np)
-
-            def not_fn(batch: Any, _fn: Any = bool_fn) -> tuple[Any, Any]:
-                truth, nulls = _fn(batch)
-                return ~truth & ~nulls, nulls
-
-            return "bool", not_fn
-        if node.op == "-":
-            num_fn = _as_num_closure(flavor, raw, np)
-
-            def neg_fn(batch: Any, _fn: Any = num_fn) -> tuple[Any, Any]:
-                values, nulls = _fn(batch)
-                return -values, nulls
-
-            return "num", neg_fn
-        raise VectorFallback(f"unary operator {node.op!r} not vectorized")
-
-    if isinstance(node, IsNull):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if flavor == "const":
-            raise VectorFallback("IS NULL over constant reached vector path")
-
-        def isnull_fn(
-            batch: Any, _fn: Any = raw, _neg: bool = node.negated, _np: Any = np
-        ) -> tuple[Any, Any]:
-            nulls = _fn(batch)[1]
-            truth = ~nulls if _neg else nulls
-            return truth, _np.zeros(nulls.shape[0], dtype=bool)
-
-        return "bool", isnull_fn
-
-    if isinstance(node, InList):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if flavor == "const":
-            raise VectorFallback("IN over constant operand reached vector path")
-        if flavor == "bool":
-            flavor, raw = "num", _as_num_closure("bool", raw, np)
-        consts = []
-        for item in node.items:
-            if item.referenced_columns() or not _pure_constant(item):
-                raise VectorFallback("IN list with non-constant items")
-            consts.append(_vector_const(item))
-        saw_null = any(value is None for value in consts)
-        if flavor == "num":
-            candidates = tuple(
-                int(value) if isinstance(value, bool) else value
-                for value in consts
-                if isinstance(value, (bool, int, float))
-            )
-
-            def in_num_fn(
-                batch: Any,
-                _fn: Any = raw,
-                _cands: tuple = candidates,
-                _saw_null: bool = saw_null,
-                _neg: bool = node.negated,
-                _np: Any = np,
-            ) -> tuple[Any, Any]:
-                values, nulls = _fn(batch)
-                valid = ~nulls
-                matched = _np.zeros(values.shape[0], dtype=bool)
-                for candidate in _cands:
-                    matched |= values == candidate
-                matched &= valid
-                if _neg:
-                    if _saw_null:
-                        truth = _np.zeros(values.shape[0], dtype=bool)
-                    else:
-                        truth = valid & ~matched
-                else:
-                    truth = matched
-                return truth, nulls | (valid & ~matched & _saw_null)
-
-            return "bool", in_num_fn
-
-        text_candidates = tuple(value for value in consts if isinstance(value, str))
-
-        def in_text_fn(
-            batch: Any,
-            _fn: Any = raw,
-            _cands: tuple = text_candidates,
-            _saw_null: bool = saw_null,
-            _neg: bool = node.negated,
-            _np: Any = np,
-        ) -> tuple[Any, Any]:
-            codes, nulls, dictionary = _fn(batch)
-            valid = ~nulls
-            matched = _np.zeros(codes.shape[0], dtype=bool)
-            m = dictionary.shape[0]
-            if m:
-                for candidate in _cands:
-                    pos = int(_np.searchsorted(dictionary, candidate))
-                    if pos < m and dictionary[pos] == candidate:
-                        matched |= codes == pos
-            matched &= valid
-            if _neg:
-                if _saw_null:
-                    truth = _np.zeros(codes.shape[0], dtype=bool)
-                else:
-                    truth = valid & ~matched
-            else:
-                truth = matched
-            return truth, nulls | (valid & ~matched & _saw_null)
-
-        return "bool", in_text_fn
-
-    if isinstance(node, Between):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if flavor == "const":
-            raise VectorFallback("BETWEEN over constant operand reached vector path")
-        for bound in (node.low, node.high):
-            if bound.referenced_columns() or not _pure_constant(bound):
-                raise VectorFallback("BETWEEN with non-constant bounds")
-        low_value = _vector_const(node.low)
-        high_value = _vector_const(node.high)
-        if low_value is None or high_value is None:
-
-            def null_between_fn(
-                batch: Any, _fn: Any = raw, _np: Any = np
-            ) -> tuple[Any, Any]:
-                n = _fn(batch)[1].shape[0]
-                return _np.zeros(n, dtype=bool), _np.ones(n, dtype=bool)
-
-            return "bool", null_between_fn
-        ge_fn = _vc_cmp_const(flavor, raw, ">=", low_value, np)
-        le_fn = _vc_cmp_const(flavor, raw, "<=", high_value, np)
-
-        def between_fn(
-            batch: Any, _ge: Any = ge_fn, _le: Any = le_fn, _neg: bool = node.negated
-        ) -> tuple[Any, Any]:
-            ge_truth, nulls = _ge(batch)
-            le_truth, _ = _le(batch)
-            inside = ge_truth & le_truth
-            if _neg:
-                return ~inside & ~nulls, nulls
-            return inside, nulls
-
-        return "bool", between_fn
-
-    if isinstance(node, Like):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if flavor != "text":
-            # Numeric operands stringify per row; not worth kernels.
-            raise VectorFallback("LIKE over non-text operand")
-        regex = node._regex
-        if regex is None:
-            if node.pattern.referenced_columns() or not _pure_constant(node.pattern):
-                raise VectorFallback("LIKE with non-constant pattern")
-            pattern_value = _vector_const(node.pattern)
-            if pattern_value is None:
-
-                def null_like_fn(
-                    batch: Any, _fn: Any = raw, _np: Any = np
-                ) -> tuple[Any, Any]:
-                    nulls = _fn(batch)[1]
-                    n = nulls.shape[0]
-                    truth = _np.zeros(n, dtype=bool)
-                    result_nulls = _np.ones(n, dtype=bool)
-                    # Non-null values with a NULL pattern are UNKNOWN;
-                    # NULL values are UNKNOWN too — all rows UNKNOWN.
-                    return truth, result_nulls
-
-                return "bool", null_like_fn
-            regex = _like_to_regex(str(pattern_value))
-
-        def like_fn(
-            batch: Any,
-            _fn: Any = raw,
-            _match: Any = regex.fullmatch,
-            _neg: bool = node.negated,
-            _np: Any = np,
-        ) -> tuple[Any, Any]:
-            codes, nulls, dictionary = _fn(batch)
-            valid = ~nulls
-            m = dictionary.shape[0]
-            if m == 0:
-                return _np.zeros(codes.shape[0], dtype=bool), nulls
-            # One regex test per *distinct* value, then a code gather.
-            lookup = _np.fromiter(
-                (_match(s) is not None for s in dictionary), dtype=bool, count=m
-            )
-            hit = lookup[codes]
-            truth = (~hit & valid) if _neg else (hit & valid)
-            return truth, nulls
-
-        return "bool", like_fn
-
-    # Case, FunctionCall, Parameter, AggregateCall, user nodes.
-    raise VectorFallback(f"node {type(node).__name__} not vectorized")
-
-
-def _vector_signature(kinds: Mapping[str, str]) -> tuple:
-    return tuple(sorted(kinds.items()))
-
-
-def compile_vector_predicate(
-    expression: Expression, kinds: Mapping[str, str]
-) -> Callable[[Any], Any]:
-    """Compile a WHERE tree into ``fn(batch) -> bool ndarray`` (truth
-    mask; UNKNOWN maps to False, like :func:`evaluate_predicate`).
-
-    Memoized per node and per column-kind signature, so cached statement
-    templates compile their kernels once.  Raises :class:`VectorFallback`
-    when any sub-expression is not vectorizable.
-    """
-    memo = expression.__dict__.setdefault("_vector_memo", {})
-    key = ("pred", _vector_signature(kinds))
-    cached = memo.get(key)
-    if cached is not None:
-        if isinstance(cached, VectorFallback):
-            raise cached
-        return cached
-    try:
-        np = _vector_np()
-        flavor, raw = _vc_node(expression, kinds, np)
-        bool_fn = _as_bool_closure(flavor, raw, np)
-        if flavor == "const":
-            truth_const = _truthy(raw)
-
-            def predicate(batch: Any, _t: bool = truth_const, _np: Any = np) -> Any:
-                if _t:
-                    return _np.ones(batch.n, dtype=bool)
-                return _np.zeros(batch.n, dtype=bool)
-
-        else:
-
-            def predicate(batch: Any, _fn: Any = bool_fn) -> Any:
-                return _fn(batch)[0]
-
-    except VectorFallback as exc:
-        memo[key] = exc
-        raise
-    memo[key] = predicate
-    return predicate
-
-
-def compile_vector_extractor(
-    expression: Expression, kinds: Mapping[str, str]
-) -> tuple[str, Any]:
-    """Compile a value expression (aggregate argument, GROUP BY key)
-    into ``(flavor, payload)``: the constant value for ``"const"``, else
-    a closure returning the flavor's arrays (see :func:`_vc_node`).
-    Memoized like :func:`compile_vector_predicate`."""
-    memo = expression.__dict__.setdefault("_vector_memo", {})
-    key = ("extract", _vector_signature(kinds))
-    cached = memo.get(key)
-    if cached is not None:
-        if isinstance(cached, VectorFallback):
-            raise cached
-        return cached
-    try:
-        np = _vector_np()
-        result = _vc_node(expression, kinds, np)
-    except VectorFallback as exc:
-        memo[key] = exc
-        raise
-    memo[key] = result
-    return result

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.db.expr import Expression
+from repro.db.expr import Expression, raises_at_evaluation
+from repro.errors import ExpressionError
 
 
 class Statement:
@@ -107,8 +108,10 @@ class Delete(Statement):
 class AggregateCall(Expression):
     """Aggregate in a SELECT/HAVING: COUNT/SUM/AVG/MIN/MAX/STDDEV.
 
-    Not directly evaluable against a row — the executor replaces it
-    with the computed group value.  ``argument`` is None for COUNT(*).
+    The executor computes each group's value and puts it in the row the
+    enclosing expression is evaluated against, under :attr:`key`; the
+    node itself compiles to a lookup of that key.  ``argument`` is None
+    for COUNT(*).
     """
 
     name: str = ""
@@ -121,18 +124,29 @@ class AggregateCall(Expression):
             inner = f"DISTINCT {inner}"
         return f"{self.name}({inner})"
 
-    def evaluate(self, row: dict[str, Any]) -> Any:
-        # The executor substitutes aggregate results before evaluation;
-        # reaching this means an aggregate appeared in a bad context.
-        from repro.errors import ExpressionError
+    @property
+    def key(self) -> str:
+        """Row key of this aggregate's value; ``(`` keeps it apart from
+        any column name.  Equal aggregates share a key."""
+        return repr(self)
 
-        raise ExpressionError(
-            f"aggregate {self.name}() not allowed in this context"
-        )
+    def lower(self):
+        def aggregate_fn(row, _key=self.key, _name=self.name):
+            if _key in row:
+                return row[_key]
+            # No group values in scope: an aggregate in a bad context.
+            raise ExpressionError(
+                f"aggregate {_name}() not allowed in this context"
+            )
+
+        return aggregate_fn
 
     def children(self):
         if self.argument is not None:
             yield self.argument
+
+    def with_children(self, children):
+        return AggregateCall(self.name, children[0], self.distinct)
 
 
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max", "stddev"})
@@ -158,15 +172,16 @@ class InSelect(Expression):
     subquery: "Select" = None
     negated: bool = False
 
-    def evaluate(self, row):
-        from repro.errors import ExpressionError
-
-        raise ExpressionError(
+    def lower(self):
+        return raises_at_evaluation(
             "IN (SELECT ...) must be resolved by the executor"
         )
 
     def children(self):
         yield self.operand
+
+    def with_children(self, children):
+        return InSelect(children[0], self.subquery, self.negated)
 
     def __repr__(self) -> str:
         keyword = "NOT IN" if self.negated else "IN"
@@ -180,10 +195,8 @@ class ExistsSelect(Expression):
     subquery: "Select" = None
     negated: bool = False
 
-    def evaluate(self, row):
-        from repro.errors import ExpressionError
-
-        raise ExpressionError(
+    def lower(self):
+        return raises_at_evaluation(
             "EXISTS (SELECT ...) must be resolved by the executor"
         )
 

@@ -9,10 +9,12 @@ resulting AST template is cached in a bounded LRU keyed by
 plans built against an old catalog can never be served again.
 
 Templates may contain :class:`~repro.db.expr.Parameter` placeholders.
-Binding substitutes literals into a *copy* of the parameterized
-expressions (param-free subtrees are shared by identity), so the planner
-still sees constants for index selection and per-node compiled-closure
-memos keep paying off across executions.
+Binding builds new nodes only along the paths that lead to a ``?``
+(:func:`~repro.db.expr.rewrite`); every param-free expression — a
+projection list, GROUP BY / ORDER BY keys, a WHERE without ``?`` — is
+the template's own node in the bound statement.  So the planner still
+sees constants for index selection, and the closures memoized on those
+nodes are compiled once per cached template, not once per execution.
 
 Parameters are accepted in DML expression positions only; they are not
 supported inside ``IN (SELECT ...)`` / ``EXISTS`` subqueries or DDL.
@@ -24,11 +26,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Sequence
 
-from repro.db.expr import (
-    Expression,
-    contains_parameters,
-    substitute_parameters,
-)
+from repro.db.expr import Expression, substitute_parameters
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.errors import DatabaseError
@@ -128,16 +126,10 @@ def _bind_expr(
 
 
 def _bind_select(select: ast.Select, params: tuple[Any, ...]) -> ast.Select:
-    if not _select_has_params(select):
-        return select
     return ast.Select(
         items=[
             ast.SelectItem(
-                expression=(
-                    _bind_expr(item.expression, params)
-                    if item.expression is not None
-                    else None
-                ),
+                expression=_bind_expr(item.expression, params),
                 alias=item.alias,
                 is_star=item.is_star,
             )
@@ -168,24 +160,6 @@ def _bind_select(select: ast.Select, params: tuple[Any, ...]) -> ast.Select:
         offset=select.offset,
         distinct=select.distinct,
     )
-
-
-def _select_has_params(select: ast.Select) -> bool:
-    expressions: list[Expression] = []
-    for item in select.items:
-        if item.expression is not None:
-            expressions.append(item.expression)
-    for join in select.joins:
-        if join.on is not None:
-            expressions.append(join.on)
-    if select.where is not None:
-        expressions.append(select.where)
-    expressions.extend(select.group_by)
-    if select.having is not None:
-        expressions.append(select.having)
-    for item in select.order_by:
-        expressions.append(item.expression)
-    return any(contains_parameters(expression) for expression in expressions)
 
 
 def _bind_statement(

@@ -14,23 +14,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.db.expr import (
-    Between,
     BinaryOp,
-    Case,
     ColumnRef,
     Expression,
-    FunctionCall,
     InList,
-    IsNull,
-    Like,
     Literal,
-    UnaryOp,
-    VectorFallback,
     compile_expression,
     compile_predicate,
+    rewrite,
+)
+from repro.db.expr_vector import (
+    VectorFallback,
     compile_vector_extractor,
     compile_vector_predicate,
-    evaluate_predicate,
 )
 from repro.db.index import _sort_key
 from repro.db.sql.ast import (
@@ -310,10 +306,11 @@ def _execute_delete(db: "Database", conn: "Connection", stmt: Delete) -> Result:
 
 
 def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
+    items = _compile_items(stmt.items)
     if stmt.table is None:
         # Table-less SELECT: evaluate expressions against an empty row.
-        row, columns = _project(stmt.items, {}, aggregates=None, ordinal=[0])
-        return Result(columns=columns, rows=[row], rowcount=1)
+        row = _project(items, {}, {})
+        return Result(columns=_output_columns(items, []), rows=[row], rowcount=1)
 
     db.lock_table_shared(conn, stmt.table)
     for join in stmt.joins:
@@ -354,15 +351,9 @@ def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
         if stmt.group_by or aggregate_nodes:
             output_pairs = _execute_grouped(stmt, source_rows, aggregate_nodes)
         else:
-            output_pairs = []
-            ordinal = [0]
-            for row in source_rows:
-                projected, columns = _project(
-                    stmt.items, row, aggregates=None, ordinal=ordinal
-                )
-                output_pairs.append((projected, row))
+            output_pairs = [(_project(items, row, row), row) for row in source_rows]
 
-    columns = _output_columns(stmt, source_rows)
+    columns = _output_columns(items, source_rows)
 
     if stmt.distinct:
         seen: set[tuple[Any, ...]] = set()
@@ -375,6 +366,8 @@ def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
         output_pairs = unique_pairs
 
     if stmt.order_by:
+        order_fns = [compile_expression(item.expression) for item in stmt.order_by]
+
         def order_key(pair: tuple[dict[str, Any], dict[str, Any]]):
             projected, base = pair
             merged = {**base, **projected}
@@ -384,7 +377,9 @@ def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
                 if hidden in base:
                     value = base[hidden]  # precomputed by the grouped path
                 else:
-                    value = _evaluate_ordering(item.expression, merged, projected)
+                    # merged has the projection on top, so an alias
+                    # wins over a base column of the same name.
+                    value = order_fns[index](merged)
                 key = _sort_key(value)
                 keys.append(_Reversed(key) if item.descending else key)
             return keys
@@ -412,17 +407,6 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and other.key == self.key
-
-
-def _evaluate_ordering(
-    expression: Expression, merged: dict[str, Any], projected: dict[str, Any]
-) -> Any:
-    # An ORDER BY item may name a projection alias not present in the
-    # base row; aliases win, then base columns.
-    if isinstance(expression, ColumnRef) and expression.qualifier is None:
-        if expression.name in projected:
-            return projected[expression.name]
-    return expression.evaluate(merged)
 
 
 def _scan_from_clause(db: "Database", stmt: Select) -> Iterator[dict[str, Any]]:
@@ -601,7 +585,7 @@ def _try_vectorized(
         ]
         agg_specs: dict[str, tuple[str, str, Any]] = {}
         for node in aggregate_nodes:
-            key = _aggregate_key(node)
+            key = node.key
             if key in agg_specs:
                 continue
             if node.argument is None:  # COUNT(*)
@@ -929,20 +913,13 @@ def _collect_aggregates(stmt: Select) -> list[AggregateCall]:
     return found
 
 
-def _aggregate_key(node: AggregateCall) -> str:
-    return repr(node)
-
-
 def _compute_aggregate(
     node: AggregateCall, rows: list[dict[str, Any]]
 ) -> Any:
     if node.argument is None:  # COUNT(*)
         return len(rows)
-    values = []
-    for row in rows:
-        value = node.argument.evaluate(row)
-        if value is not None:
-            values.append(value)
+    argument_fn = compile_expression(node.argument)
+    values = [value for value in map(argument_fn, rows) if value is not None]
     if node.distinct:
         unique: list[Any] = []
         seen: set[Any] = set()
@@ -972,83 +949,6 @@ def _compute_aggregate(
         variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
         return math.sqrt(variance)
     raise ExpressionError(f"unknown aggregate {name!r}")
-
-
-def _rewrite_tree(
-    expression: Expression, visit: "Any"
-) -> Expression:
-    """Rebuild an expression tree bottom-up.
-
-    ``visit(node)`` may return a replacement node (stopping descent into
-    it) or None to recurse into the node's children normally.
-    """
-    replacement = visit(expression)
-    if replacement is not None:
-        return replacement
-
-    def recurse(node: Expression) -> Expression:
-        return _rewrite_tree(node, visit)
-
-    if isinstance(expression, (Literal, ColumnRef)):
-        return expression
-    if isinstance(expression, BinaryOp):
-        return BinaryOp(
-            expression.op, recurse(expression.left), recurse(expression.right)
-        )
-    if isinstance(expression, UnaryOp):
-        return UnaryOp(expression.op, recurse(expression.operand))
-    if isinstance(expression, IsNull):
-        return IsNull(recurse(expression.operand), expression.negated)
-    if isinstance(expression, InList):
-        return InList(
-            recurse(expression.operand),
-            [recurse(item) for item in expression.items],
-            expression.negated,
-        )
-    if isinstance(expression, Between):
-        return Between(
-            recurse(expression.operand),
-            recurse(expression.low),
-            recurse(expression.high),
-            expression.negated,
-        )
-    if isinstance(expression, Like):
-        return Like(
-            recurse(expression.operand),
-            recurse(expression.pattern),
-            expression.negated,
-        )
-    if isinstance(expression, Case):
-        return Case(
-            [(recurse(cond), recurse(value)) for cond, value in expression.branches],
-            recurse(expression.default) if expression.default is not None else None,
-        )
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(
-            expression.name, [recurse(arg) for arg in expression.args]
-        )
-    if isinstance(expression, AggregateCall):
-        if expression.argument is None:
-            return expression
-        return AggregateCall(
-            name=expression.name,
-            argument=recurse(expression.argument),
-            distinct=expression.distinct,
-        )
-    return expression
-
-
-def _substitute_aggregates(
-    expression: Expression, values: dict[str, Any]
-) -> Expression:
-    """Rebuild the tree with AggregateCall nodes replaced by Literals."""
-
-    def visit(node: Expression) -> Expression | None:
-        if isinstance(node, AggregateCall):
-            return Literal(values[_aggregate_key(node)])
-        return None
-
-    return _rewrite_tree(expression, visit)
 
 
 def _resolve_subqueries(
@@ -1084,7 +984,7 @@ def _resolve_subqueries(
             return Literal(not exists if node.negated else exists)
         return None
 
-    return _rewrite_tree(expression, visit)
+    return rewrite(expression, visit)
 
 
 def _execute_grouped(
@@ -1094,20 +994,19 @@ def _execute_grouped(
 ) -> list[tuple[dict[str, Any], dict[str, Any]]]:
     groups: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
     if stmt.group_by:
+        key_fns = [compile_expression(expression) for expression in stmt.group_by]
         for row in source_rows:
-            key = tuple(
-                _hash_fold(expression.evaluate(row)) for expression in stmt.group_by
-            )
+            key = tuple(_hash_fold(key_fn(row)) for key_fn in key_fns)
             groups.setdefault(key, []).append(row)
     else:
         groups[()] = source_rows  # One global group (possibly empty).
 
+    keyed_nodes = [(node.key, node) for node in aggregate_nodes]
     group_data = []
     for _key, rows in groups.items():
         representative = rows[0] if rows else {}
         aggregate_values = {
-            _aggregate_key(node): _compute_aggregate(node, rows)
-            for node in aggregate_nodes
+            key: _compute_aggregate(node, rows) for key, node in keyed_nodes
         }
         group_data.append((representative, aggregate_values))
     return _finalize_groups(stmt, group_data)
@@ -1120,28 +1019,27 @@ def _finalize_groups(
     """Shared tail of grouped execution: HAVING, projection, and ORDER
     BY precomputation over ``(representative, aggregate_values)`` pairs.
     Both the row path and the vectorized fast path feed this, so result
-    shaping is identical by construction."""
+    shaping is identical by construction.
+
+    Every expression here is evaluated against the representative row
+    overlaid with the group's aggregate values under their keys, which
+    is where a compiled :class:`AggregateCall` looks itself up."""
+    having = compile_predicate(stmt.having) if stmt.having is not None else None
+    items = _compile_items(stmt.items)
+    order_fns = [compile_expression(order.expression) for order in stmt.order_by]
     output: list[tuple[dict[str, Any], dict[str, Any]]] = []
-    ordinal = [0]
     for representative, aggregate_values in group_data:
-        if stmt.having is not None:
-            having = _substitute_aggregates(stmt.having, aggregate_values)
-            if not evaluate_predicate(having, representative):
-                continue
-        projected, _columns = _project(
-            stmt.items, representative, aggregates=aggregate_values, ordinal=ordinal
-        )
+        scope = {**representative, **aggregate_values}
+        if having is not None and not having(scope):
+            continue
+        projected = _project(items, representative, scope)
         base = dict(representative)
-        # Precompute ORDER BY values so sorting never re-encounters a
-        # raw AggregateCall node.
+        # Precompute ORDER BY values here, where the aggregates are in
+        # scope; the sort itself only sees (projected, base) pairs.
+        scope.update(projected)
         for index, order in enumerate(stmt.order_by):
-            substituted = _substitute_aggregates(
-                order.expression, aggregate_values
-            )
             try:
-                base[f"__order_{index}"] = substituted.evaluate(
-                    {**base, **projected}
-                )
+                base[f"__order_{index}"] = order_fns[index](scope)
             except ExpressionError:
                 base[f"__order_{index}"] = projected.get(
                     _item_name_for_order(order.expression, projected)
@@ -1172,47 +1070,55 @@ def _item_name(item: SelectItem, ordinal: int) -> str:
     return f"col{ordinal}"
 
 
-def _project(
+def _compile_items(
     items: list[SelectItem],
-    row: dict[str, Any],
-    aggregates: dict[str, Any] | None,
-    ordinal: list[int],
-) -> tuple[dict[str, Any], list[str]]:
-    projected: dict[str, Any] = {}
-    columns: list[str] = []
+) -> list[tuple[str | None, Any]]:
+    """``(output name, closure)`` per select item, once per statement;
+    ``(None, None)`` stands for ``*``."""
+    compiled: list[tuple[str | None, Any]] = []
     position = 0
     for item in items:
         if item.is_star:
+            compiled.append((None, None))
+            continue
+        position += 1
+        compiled.append(
+            (_item_name(item, position), compile_expression(item.expression))
+        )
+    return compiled
+
+
+def _project(
+    items: list[tuple[str | None, Any]],
+    row: dict[str, Any],
+    scope: dict[str, Any],
+) -> dict[str, Any]:
+    """One output row: ``*`` expands ``row``, every other item is
+    evaluated against ``scope`` (``row`` itself, or ``row`` overlaid
+    with aggregate values on the grouped path)."""
+    projected: dict[str, Any] = {}
+    for name, item_fn in items:
+        if item_fn is None:
             for key, value in row.items():
                 if "." in key:
                     continue  # Qualified duplicates stay internal.
                 if key not in projected:
                     projected[key] = value
-                    columns.append(key)
             continue
-        position += 1
-        name = _item_name(item, position)
-        expression = item.expression
-        if aggregates is not None:
-            expression = _substitute_aggregates(expression, aggregates)
-        projected[name] = expression.evaluate(row)
-        if name not in columns:
-            columns.append(name)
-    return projected, columns
+        projected[name] = item_fn(scope)
+    return projected
 
 
-def _output_columns(stmt: Select, source_rows: list[dict[str, Any]]) -> list[str]:
+def _output_columns(
+    items: list[tuple[str | None, Any]], source_rows: list[dict[str, Any]]
+) -> list[str]:
     columns: list[str] = []
-    position = 0
-    for item in stmt.items:
-        if item.is_star:
+    for name, _item_fn in items:
+        if name is None:  # ``*``
             if source_rows:
                 for key in source_rows[0]:
                     if "." not in key and key not in columns:
                         columns.append(key)
-            continue
-        position += 1
-        name = _item_name(item, position)
-        if name not in columns:
+        elif name not in columns:
             columns.append(name)
     return columns

@@ -10,9 +10,8 @@ have to activate applications as needed" behaviour.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.db.engine import StorageEngine
 from repro.errors import PubSubError, TopicNotFoundError
 from repro.events import KIND_DATA, Event
 from repro.faults import PUBSUB_CONSUMER
@@ -21,6 +20,9 @@ from repro.pubsub.subscription import Callback, TopicSubscription
 from repro.pubsub.topic import Topic, topic_matches
 from repro.queues.broker import QueueBroker
 from repro.queues.message import Message
+
+if TYPE_CHECKING:
+    from repro.db.database import Database
 
 
 def _event_to_payload(topic: str, event: Event) -> dict[str, Any]:
@@ -61,7 +63,7 @@ def _payload_to_event(data: dict[str, Any]) -> Event:
 class PubSubBroker:
     """Topics + subscriptions over one database."""
 
-    def __init__(self, db: StorageEngine, *, name: str = "pubsub") -> None:
+    def __init__(self, db: Database, *, name: str = "pubsub") -> None:
         self.db = db
         self.name = name
         self.queues = QueueBroker(db, name=f"{name}-queues")

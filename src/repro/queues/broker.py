@@ -13,14 +13,16 @@ This is the "staging area" façade from §2.2.b.  It owns:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.db.engine import StorageEngine
 from repro.errors import QueueError, QueueNotFoundError
 from repro.faults import BROKER_ACK, BROKER_CONSUME, BROKER_PUBLISH
 from repro.queues.audit import AuditTrail, Permission, SecurityManager
 from repro.queues.message import Message
 from repro.queues.queue_table import QueueTable
+
+if TYPE_CHECKING:
+    from repro.db.database import Database
 
 
 class QueueBroker:
@@ -28,7 +30,7 @@ class QueueBroker:
 
     def __init__(
         self,
-        db: StorageEngine,
+        db: Database,
         *,
         security: SecurityManager | None = None,
         audit: bool = False,

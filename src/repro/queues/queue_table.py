@@ -43,8 +43,7 @@ import json
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.clock import Clock
-from repro.db.database import Connection
-from repro.db.engine import StorageEngine
+from repro.db.database import Connection, Database
 from repro.db.schema import Column
 from repro.db.types import INT, TEXT, TIMESTAMP
 from repro.errors import MessageExpiredError, QueueError
@@ -61,7 +60,7 @@ class QueueTable:
 
     def __init__(
         self,
-        db: StorageEngine,
+        db: Database,
         name: str,
         *,
         keep_history: bool = False,

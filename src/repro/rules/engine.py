@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.db.database import Database
-from repro.db.expr import evaluate_predicate
 from repro.errors import RuleError, RuleNotFoundError
 from repro.events import Event
 from repro.obs.metrics import NULL_COUNTER
@@ -83,15 +82,11 @@ class RuleEngine:
         self,
         *,
         mode: str = "indexed",
-        compiled: bool = True,
         metrics: Any = None,
     ) -> None:
         if mode not in ("indexed", "naive"):
             raise RuleError(f"unknown evaluation mode {mode!r}")
         self.mode = mode
-        # compiled=False keeps the interpreted AST walk — the EXP-4
-        # ablation baseline; both paths evaluate identical conditions.
-        self.compiled = bool(compiled)
         self._rules: dict[str, Rule] = {}
         self._index = PredicateIndex()
         # Type routing: exact-type buckets plus wildcard-pattern rules.
@@ -131,12 +126,11 @@ class RuleEngine:
             raise RuleError(f"rule {rule.rule_id!r} already registered")
         self._rules[rule.rule_id] = rule
         self._index.add(rule)
-        if self.compiled:
-            # Compile at registration so evaluation never pays the
-            # lowering cost; re-adding after churn recompiles because a
-            # replaced rule carries a fresh condition tree.
-            rule.recompile()
-            self._m_compiles.inc()
+        # Compile at registration so evaluation never pays the lowering
+        # cost; re-adding after churn recompiles because a replaced rule
+        # carries a fresh condition tree.
+        rule.recompile()
+        self._m_compiles.inc()
         if rule.event_types is None:
             self._wildcard_rules.add(rule.rule_id)
         else:
@@ -240,11 +234,7 @@ class RuleEngine:
                     continue
             self.stats["conditions_evaluated"] += 1
             self._m_conditions.inc()
-            if (
-                rule.compiled_condition(context)
-                if self.compiled
-                else evaluate_predicate(rule.condition, context)
-            ):
+            if rule.compiled_condition(context):
                 matches.append(RuleMatch(rule=rule, context=context, event=event))
         matches.sort(key=lambda m: (-m.rule.priority, m.rule.rule_id))
         self.stats["matches"] += len(matches)

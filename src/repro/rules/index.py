@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
-from repro.db.expr import conjuncts, evaluate_predicate
+from repro.db.expr import conjuncts
 from repro.errors import ExpressionError
 from repro.rules.rule import Rule
 
@@ -267,7 +267,7 @@ class PredicateIndex:
         self._rule_columns[rule.rule_id] = columns
         if not columns:
             try:
-                always = evaluate_predicate(rule.condition, {})
+                always = rule.compiled_condition({})
             except ExpressionError:
                 # Evaluation errors must surface at evaluation time,
                 # exactly as naive mode would raise them.

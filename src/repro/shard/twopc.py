@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import json
 import uuid
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.db.engine import StorageEngine
 from repro.db.schema import Column
 from repro.db.types import TEXT, TIMESTAMP
+
+if TYPE_CHECKING:
+    from repro.db.database import Database
 
 #: Table (on every shard) holding participant 2PC state.
 PARTICIPANT_TABLE = "shard_2pc"
@@ -56,7 +58,7 @@ def new_gtid() -> str:
 class ParticipantLog:
     """One shard's durable 2PC state, stored in ``shard_2pc``."""
 
-    def __init__(self, engine: StorageEngine) -> None:
+    def __init__(self, engine: Database) -> None:
         self.engine = engine
         if not engine.catalog.has_table(PARTICIPANT_TABLE):
             engine.create_table(
@@ -169,7 +171,7 @@ class DecisionLog:
     list and are never compacted.
     """
 
-    def __init__(self, engine: StorageEngine) -> None:
+    def __init__(self, engine: Database) -> None:
         self.engine = engine
         if not engine.catalog.has_table(DECISION_TABLE):
             engine.create_table(

@@ -14,8 +14,8 @@ from repro.db.expr import (
     Like,
     Literal,
     UnaryOp,
+    compile_predicate,
     conjuncts,
-    evaluate_predicate,
     expression_from_dict,
     expression_to_dict,
     register_function,
@@ -82,6 +82,16 @@ class TestArithmetic:
     def test_division_by_zero_raises(self):
         with pytest.raises(ExpressionError):
             ev("1 / 0")
+
+    @pytest.mark.parametrize("text", ["5 % 0", "a % 0", "a % (1 - 1)", "5.5 % 0"])
+    def test_modulo_by_zero_raises_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="division by zero"):
+            ev(text, {"a": 7})
+
+    @pytest.mark.parametrize("text", ["-'x'", "-c", "5 / 'x'", "c % 2"])
+    def test_operator_on_text_raises_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="not applicable"):
+            ev(text, {"c": "x"})
 
     def test_concat(self):
         assert ev("'a' || 'b' || 'c'") == "abc"
@@ -207,8 +217,8 @@ class TestAnalysis:
             "a", 1, 9, True, True,
         )
 
-    def test_evaluate_predicate_maps_unknown_to_false(self):
-        assert evaluate_predicate(parse_expression("NULL = 1"), {}) is False
+    def test_compile_predicate_maps_unknown_to_false(self):
+        assert compile_predicate(parse_expression("NULL = 1"))({}) is False
 
 
 class TestSerialization:

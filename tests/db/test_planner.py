@@ -90,9 +90,9 @@ class TestResultEquivalence:
 
 
 def _predicate(expression, row):
-    from repro.db.expr import evaluate_predicate
+    from repro.db.expr import compile_predicate
 
-    return evaluate_predicate(expression, row)
+    return compile_predicate(expression)(row)
 
 
 class TestExplain:

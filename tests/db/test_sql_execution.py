@@ -5,6 +5,7 @@ import pytest
 from repro.db import Database
 from repro.errors import (
     ConstraintViolation,
+    ExpressionError,
     SchemaError,
     SqlSyntaxError,
 )
@@ -44,6 +45,15 @@ class TestSelectBasics:
 
     def test_empty_result(self, orders_db):
         assert orders_db.query("SELECT * FROM orders WHERE id = 999") == []
+
+    @pytest.mark.parametrize(
+        "where", ["5 % 0 = 1", "qty % 0 = 1", "-symbol = 1"]
+    )
+    def test_arithmetic_errors_are_expression_errors(self, orders_db, where):
+        """Regression: these raised raw ZeroDivisionError / TypeError,
+        the constant one while the statement was being planned."""
+        with pytest.raises(ExpressionError):
+            orders_db.query(f"SELECT id FROM orders WHERE {where}")
 
     def test_case_projection(self, orders_db):
         rows = orders_db.query(

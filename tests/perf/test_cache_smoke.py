@@ -8,9 +8,13 @@ miss the parser's direct reference) and assert parses happen once, not
 per execution / per row / per event.
 """
 
+from collections import Counter
+
 import pytest
 
+import repro.db.expr as expr_module
 import repro.db.sql.cache as cache_module
+import repro.db.sql.executor as executor_module
 from repro.clock import SimulatedClock
 from repro.db import Database
 from repro.db.schema import Column
@@ -86,7 +90,7 @@ class TestNoRepeatedParsing:
         import repro.db.sql.parser as parser_module
         from repro.events import Event
 
-        engine = RuleEngine(compiled=True)
+        engine = RuleEngine()
         engine.add("r1", "qty > 5 AND region = 'emea'")
         engine.add("r2", "price BETWEEN 1 AND 2")
 
@@ -114,3 +118,86 @@ class TestNoRepeatedParsing:
         rows = db.query("SELECT id FROM t WHERE name = 'n3'")
         assert len(rows) > 20
         assert counted_parse["n"] == baseline + 1
+
+
+class TestBindingSharesTheTemplate:
+    """Counts, not timings: binding a cached template may build and
+    compile only what a ``?`` actually changed."""
+
+    def test_prepared_select_rebuilds_and_recompiles_only_the_bound_path(
+        self, db, monkeypatch
+    ):
+        _make_table(db)
+        insert = db.prepare("INSERT INTO t (id, name) VALUES (?, ?)")
+        for i in range(20):
+            insert.execute([i, f"n{i}"])
+        select = db.prepare(
+            "SELECT id, upper(name) AS shout, id + 1 AS succ FROM t "
+            "WHERE id = ? ORDER BY length(name), id"
+        )
+        template = db.statement_cache.lookup(
+            select.sql, db.schema_version
+        ).statement
+        shared = [item.expression for item in template.items]
+        shared += [order.expression for order in template.order_by]
+
+        def nodes(expression):
+            yield expression
+            for child in expression.children():
+                yield from nodes(child)
+
+        template_nodes = {id(node) for root in shared for node in nodes(root)}
+        lowered = Counter()
+        real_compile = expr_module._compile_node
+
+        def counting_compile(node):
+            if id(node) in template_nodes:
+                lowered[id(node)] += 1
+            return real_compile(node)
+
+        bound_statements = []
+        real_bind = cache_module._bind_statement
+
+        def recording_bind(statement, params):
+            bound = real_bind(statement, params)
+            bound_statements.append(bound)
+            return bound
+
+        monkeypatch.setattr(expr_module, "_compile_node", counting_compile)
+        monkeypatch.setattr(cache_module, "_bind_statement", recording_bind)
+        for i in range(1000):
+            assert select.query([i % 20]) == [
+                {"id": i % 20, "shout": f"N{i % 20}", "succ": i % 20 + 1}
+            ]
+
+        assert len(bound_statements) == 1000
+        for bound in bound_statements:
+            assert bound.where is not template.where  # it held the ``?``
+            for mine, theirs in zip(bound.items, template.items):
+                assert mine.expression is theirs.expression
+            for mine, theirs in zip(bound.order_by, template.order_by):
+                assert mine.expression is theirs.expression
+        # Each parameter-free expression was lowered at most once in
+        # 1 000 executions — and the projections at least once, so the
+        # counter is known to be wired to the real compiler.
+        assert lowered and max(lowered.values()) == 1
+
+    def test_parameterless_where_reaches_the_planner_by_identity(
+        self, db, monkeypatch
+    ):
+        _make_table(db)
+        db.execute("INSERT INTO t (id, name) VALUES (3, 'n3')")
+        sql = "SELECT name FROM t WHERE id = 3 AND name LIKE 'n%'"
+        planned = []
+        real_plan = executor_module.plan_access
+
+        def recording_plan(table, where):
+            planned.append(where)
+            return real_plan(table, where)
+
+        monkeypatch.setattr(executor_module, "plan_access", recording_plan)
+        for _ in range(5):
+            assert db.query(sql) == [{"name": "n3"}]
+        template = db.statement_cache.lookup(sql, db.schema_version).statement
+        assert len(planned) == 5
+        assert all(where is template.where for where in planned)

@@ -2,9 +2,10 @@
 
 1. **GC sensitivity**: the ColumnStore must keep the tracked Python
    object count flat as row count grows — its state is O(columns)
-   numpy arrays, never per-row Python objects.  (BENCH_PR4's perf
-   cliffs were gen-2 GC walks over per-row object graphs; this guard
-   keeps the new layer from reintroducing one.)
+   numpy arrays, never per-row Python objects.  (The batch-256 cliff
+   EXPERIMENTS.md records under EXP-3 was gen-2 GC walks over per-row
+   object graphs; this guard keeps the new layer from reintroducing
+   one.)
 2. **Fast path provably engages**: an eligible aggregate query must
    run with zero per-row closure calls — asserted by making the row
    path (plan_access) explode and watching the query still succeed.

@@ -3,14 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.expr import (
-    evaluate_predicate,
-    expression_from_dict,
-    expression_to_dict,
-)
+from repro.db.expr import expression_from_dict, expression_to_dict
 from repro.db.sql.parser import parse_expression
 from repro.rules import PredicateIndex, Rule
 from repro.rules.engine import EventContext
+from tests.reference.expr_oracle import evaluate_predicate
 
 
 @st.composite
@@ -89,7 +86,7 @@ class TestPredicateIndexProperties:
         via_index = {
             rule.rule_id
             for rule in index.candidates(context)
-            if evaluate_predicate(rule.condition, context)
+            if rule.compiled_condition(context)
         }
         assert via_index == brute
 

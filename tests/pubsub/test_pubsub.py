@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PubSubError, TopicNotFoundError
+from repro.errors import ExpressionError, PubSubError, TopicNotFoundError
 from repro.events import Event
 from repro.pubsub import PubSubBroker
 from repro.pubsub.topic import topic_matches
@@ -58,6 +58,14 @@ class TestNondurable:
         broker.publish("alerts", alert(severity=5))
         assert len(inbox) == 1
         assert broker.subscription("s").filtered_out == 1
+
+    def test_filter_that_cannot_be_evaluated_registers_then_raises(self, broker):
+        """Regression: a constant ``5 % 0`` raised a raw
+        ZeroDivisionError out of the compiler."""
+        broker.subscribe("s", "alerts", callback=lambda event: None,
+                         content_filter="5 % 0 = 1")
+        with pytest.raises(ExpressionError, match="division by zero"):
+            broker.publish("alerts", alert())
 
     def test_wildcard_topic_subscription(self, broker, db):
         broker.create_topic("metrics.cpu")

@@ -4,16 +4,18 @@ referenced-column sets the predicate index reuses."""
 import pytest
 
 from repro.db.sql.parser import parse_expression
+from repro.errors import ExpressionError
 from repro.events import Event
 from repro.rules import PredicateIndex, Rule, RuleEngine
-from repro.rules.engine import EventContext
+from repro.rules.engine import event_context
+from tests.reference.expr_oracle import evaluate_predicate
 
 
 def _event(payload, event_type="tick"):
     return Event(event_type, 1.0, payload)
 
 
-class TestCompiledEngineAgreement:
+class TestEngineAgreesWithOracle:
     CONDITIONS = [
         ("eq", "region = 'emea' AND qty > 10"),
         ("range", "price BETWEEN 5 AND 10"),
@@ -31,34 +33,28 @@ class TestCompiledEngineAgreement:
     ]
 
     @pytest.mark.parametrize("mode", ["indexed", "naive"])
-    def test_compiled_and_interpreted_match_sets_agree(self, mode):
-        compiled = RuleEngine(mode=mode, compiled=True)
-        interpreted = RuleEngine(mode=mode, compiled=False)
-        for rule_id, text in self.CONDITIONS:
-            compiled.add(rule_id, text)
-            interpreted.add(rule_id, text)
+    def test_match_sets_equal_the_oracle(self, mode):
+        engine = RuleEngine(mode=mode)
+        rules = [engine.add(rule_id, text) for rule_id, text in self.CONDITIONS]
         for payload in self.EVENTS:
-            a = {
-                m.rule.rule_id
-                for m in compiled.evaluate(_event(payload), run_actions=False)
+            event = _event(payload)
+            matched = {
+                m.rule.rule_id for m in engine.evaluate(event, run_actions=False)
             }
-            b = {
-                m.rule.rule_id
-                for m in interpreted.evaluate(
-                    _event(payload), run_actions=False
-                )
+            context = event_context(event)
+            assert matched == {
+                rule.rule_id
+                for rule in rules
+                if evaluate_predicate(rule.condition, context)
             }
-            assert a == b
-        assert (
-            compiled.stats["conditions_evaluated"]
-            == interpreted.stats["conditions_evaluated"]
-        )
+        if mode == "naive":
+            # Naive mode evaluates every rule for every event.
+            assert engine.stats["conditions_evaluated"] == len(rules) * len(
+                self.EVENTS
+            )
 
-    def test_compiled_engine_is_the_default(self):
-        assert RuleEngine().compiled is True
-
-    def test_event_context_absent_attributes_are_null_when_compiled(self):
-        engine = RuleEngine(compiled=True)
+    def test_event_context_absent_attributes_are_null(self):
+        engine = RuleEngine()
         engine.add("r", "qty > 5")
         # qty absent -> NULL -> UNKNOWN -> no match (not a KeyError).
         assert engine.evaluate(_event({"price": 1}), run_actions=False) == []
@@ -67,12 +63,12 @@ class TestCompiledEngineAgreement:
 
 class TestRecompileOnChurn:
     def test_registration_compiles_eagerly(self):
-        engine = RuleEngine(compiled=True)
+        engine = RuleEngine()
         rule = engine.add("r", "qty > 5")
         assert rule._compiled_condition is not None
 
     def test_replacing_a_rule_recompiles_its_condition(self):
-        engine = RuleEngine(compiled=True)
+        engine = RuleEngine()
         engine.add("r", "qty > 5")
         assert engine.evaluate(_event({"qty": 6}), run_actions=False)
         engine.remove_rule("r")
@@ -89,6 +85,22 @@ class TestRecompileOnChurn:
         assert fresh is not old
         assert fresh({"qty": 10}) is False
         assert fresh({"qty": 51}) is True
+
+
+class TestErrorsSurfaceAtEvaluation:
+    """Regression: ``5 % 0`` used to raise a raw ZeroDivisionError while
+    the constant was folded, i.e. from registration."""
+
+    def test_constant_modulo_by_zero_registers_and_raises_when_evaluated(self):
+        rule = Rule(rule_id="r", condition="5 % 0 = 1")
+        condition = rule.compiled_condition
+        with pytest.raises(ExpressionError, match="division by zero"):
+            condition({})
+        for mode in ("indexed", "naive"):
+            engine = RuleEngine(mode=mode)
+            engine.add("r", "5 % 0 = 1")
+            with pytest.raises(ExpressionError, match="division by zero"):
+                engine.evaluate(_event({"qty": 1}), run_actions=False)
 
 
 class TestReferencedColumnsMemo:

@@ -128,8 +128,6 @@ class TestAnchoring:
 class TestSoundnessAgainstNaive:
     def test_randomized_equivalence(self):
         """The indexed engine must agree exactly with brute force."""
-        from repro.db.expr import evaluate_predicate
-
         rng = random.Random(11)
         index = PredicateIndex()
         rules = []
@@ -161,13 +159,13 @@ class TestSoundnessAgainstNaive:
             brute = {
                 rule.rule_id
                 for rule in rules
-                if evaluate_predicate(rule.condition, context)
+                if rule.compiled_condition(context)
             }
             candidates = index.candidates(context)
             indexed = {
                 rule.rule_id
                 for rule in candidates
-                if evaluate_predicate(rule.condition, context)
+                if rule.compiled_condition(context)
             }
             assert indexed == brute
 
