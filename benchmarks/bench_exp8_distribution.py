@@ -52,7 +52,7 @@ def run_fanout(fanout: int, n: int = N_MESSAGES) -> dict:
     for i in range(n):
         source.publish("outbox", {"n": i})
     started = time.perf_counter()
-    while propagator.run_once(batch=100):
+    while propagator.pump(batch=100):
         pass
     elapsed = time.perf_counter() - started
     delivered = sum(d.queue("inbox").depth() for d in destinations)
@@ -123,7 +123,7 @@ def test_exp8_single_forward(benchmark):
 
     def cycle():
         source.publish("outbox", {"x": 1})
-        propagator.run_once(batch=1)
+        propagator.pump(batch=1)
 
     benchmark(cycle)
 

@@ -1,8 +1,9 @@
 """The database facade: connections, transactions, DML core, recovery.
 
 Every mutation — whether issued as SQL or through the programmatic API —
-funnels through :meth:`Database.insert_row` / :meth:`update_row` /
-:meth:`delete_row`, which enforce the write-ahead discipline:
+funnels through :meth:`Database.insert_many` / :meth:`update_rows` /
+:meth:`delete_rows` (the single-row methods are those at n = 1), which
+enforce the write-ahead discipline:
 
     lock → BEFORE triggers → constraint checks → journal → apply →
     undo-log → AFTER triggers
@@ -460,10 +461,14 @@ class Database:
 
     # -- transaction plumbing for the programmatic API ----------------------------
 
-    def _with_transaction(
+    def run_in_transaction(
         self, conn: Connection | None, work: Callable[[Connection], Any]
     ) -> Any:
-        """Run ``work`` in the caller's transaction or an implicit one."""
+        """Run ``work`` in the caller's transaction or an implicit one.
+
+        With ``conn`` given, ``work`` joins its open transaction; with
+        ``conn=None`` a scratch transaction is opened around it (commit
+        on return, rollback on raise)."""
         if conn is not None:
             conn.require_transaction()
             return work(conn)
@@ -477,15 +482,15 @@ class Database:
         scratch.commit()
         return result
 
-    def run_in_transaction(
-        self, conn: Connection | None, work: Callable[[Connection], Any]
-    ) -> Any:
-        """Run ``work`` in the caller's transaction or an implicit one.
-
-        With ``conn`` given, ``work`` joins its open transaction; with
-        ``conn=None`` a scratch transaction is opened around it (commit
-        on return, rollback on raise)."""
-        return self._with_transaction(conn, work)
+    def _locked(
+        self, conn: Connection, table_name: str
+    ) -> tuple[Transaction, HeapTable]:
+        """The prelude of every row mutation: the caller's open
+        transaction, now holding the table's exclusive lock, and the
+        table resolved from the catalog — once per call, however many
+        rows the call then touches."""
+        self.lock_table_exclusive(conn, table_name)
+        return conn.transaction, self.catalog.table(table_name)
 
     # -- DDL ------------------------------------------------------------------
 
@@ -521,7 +526,7 @@ class Database:
             )
             return table
 
-        return self._with_transaction(conn, work)
+        return self.run_in_transaction(conn, work)
 
     def create_table_from_def(
         self, conn: Connection, statement: CreateTableStmt
@@ -568,7 +573,7 @@ class Database:
 
             transaction.record_undo(undo)
 
-        self._with_transaction(conn, work)
+        self.run_in_transaction(conn, work)
 
     def create_index(
         self,
@@ -581,9 +586,7 @@ class Database:
         conn: Connection | None = None,
     ) -> None:
         def work(connection: Connection) -> None:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
+            transaction, table = self._locked(connection, table_name)
             table.create_index(name, column, kind=kind, unique=unique)
             self._bump_schema_version()
             self._mark_write(transaction)
@@ -600,7 +603,7 @@ class Database:
             )
             transaction.record_undo(lambda: table.drop_index(name))
 
-        self._with_transaction(conn, work)
+        self.run_in_transaction(conn, work)
 
     def drop_index(self, name: str, table_name: str) -> None:
         self.catalog.table(table_name).drop_index(name)
@@ -746,8 +749,7 @@ class Database:
         table: HeapTable,
         values: Mapping[str, Any],
     ) -> int:
-        """Insert one row into an already-locked table (shared by the
-        single-row and batched paths)."""
+        """Insert one row into an already-locked table."""
         incoming = dict(values)
         rewritten = self._fire_row_triggers(
             table.name,
@@ -788,23 +790,6 @@ class Database:
         )
         return rowid
 
-    def insert_row(
-        self,
-        table_name: str,
-        values: Mapping[str, Any],
-        *,
-        conn: Connection | None = None,
-    ) -> int:
-        """Insert one row; returns its rowid."""
-
-        def work(connection: Connection) -> int:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
-            return self._insert_locked(connection, transaction, table, values)
-
-        return self._with_transaction(conn, work)
-
     def insert_many(
         self,
         table_name: str,
@@ -812,28 +797,35 @@ class Database:
         *,
         conn: Connection | None = None,
     ) -> list[int]:
-        """Insert a batch of rows in ONE transaction; returns rowids.
+        """Insert rows in ONE transaction; returns their rowids.
 
-        The lock is acquired once and — under ``sync_policy="commit"``
-        — the whole batch shares a single journal flush, so per-message
-        commit cost is amortized over the batch (§2.2.b.i.3).  Triggers
-        and constraint checks still run per row, identically to
-        :meth:`insert_row`.
+        The only insert body.  The lock is acquired once and — under
+        ``sync_policy="commit"`` — the whole batch shares a single
+        journal flush, so per-message commit cost is amortized over the
+        batch (§2.2.b.i.3).  Triggers and constraint checks run per row.
         """
-        batch = [dict(values) for values in rows]
+        batch = list(rows)
         if not batch:
             return []
 
         def work(connection: Connection) -> list[int]:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
+            transaction, table = self._locked(connection, table_name)
             return [
                 self._insert_locked(connection, transaction, table, values)
                 for values in batch
             ]
 
-        return self._with_transaction(conn, work)
+        return self.run_in_transaction(conn, work)
+
+    def insert_row(
+        self,
+        table_name: str,
+        values: Mapping[str, Any],
+        *,
+        conn: Connection | None = None,
+    ) -> int:
+        """Insert one row; returns its rowid (:meth:`insert_many` at n = 1)."""
+        return self.insert_many(table_name, (values,), conn=conn)[0]
 
     def _update_locked(
         self,
@@ -843,8 +835,7 @@ class Database:
         rowid: int,
         updates: Mapping[str, Any],
     ) -> None:
-        """Update one row of an already-locked table (shared by the
-        single-row and batched paths)."""
+        """Update one row of an already-locked table."""
         current = table.get(rowid)
         if current is None:
             raise SchemaError(
@@ -901,24 +892,6 @@ class Database:
             connection=connection,
         )
 
-    def update_row(
-        self,
-        table_name: str,
-        rowid: int,
-        updates: Mapping[str, Any],
-        *,
-        conn: Connection | None = None,
-    ) -> None:
-        """Apply column updates to a single row identified by rowid."""
-
-        def work(connection: Connection) -> None:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
-            self._update_locked(connection, transaction, table, rowid, updates)
-
-        self._with_transaction(conn, work)
-
     def update_rows(
         self,
         table_name: str,
@@ -928,26 +901,103 @@ class Database:
     ) -> int:
         """Apply ``(rowid, column updates)`` pairs in ONE transaction.
 
-        Like :meth:`insert_many`, this acquires the table lock once and
-        shares a single commit (and journal flush) across the whole
-        batch; triggers and checks run per row.  Returns the number of
-        rows updated.
+        The only update body: like :meth:`insert_many`, it acquires the
+        table lock once and shares a single commit (and journal flush)
+        across the whole batch; triggers and checks run per row.
+        Returns the number of rows updated.
         """
-        batch = [(rowid, dict(columns)) for rowid, columns in updates]
+        batch = list(updates)
         if not batch:
             return 0
 
         def work(connection: Connection) -> int:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
+            transaction, table = self._locked(connection, table_name)
             for rowid, columns in batch:
                 self._update_locked(
                     connection, transaction, table, rowid, columns
                 )
             return len(batch)
 
-        return self._with_transaction(conn, work)
+        return self.run_in_transaction(conn, work)
+
+    def update_row(
+        self,
+        table_name: str,
+        rowid: int,
+        updates: Mapping[str, Any],
+        *,
+        conn: Connection | None = None,
+    ) -> None:
+        """Update one row by rowid (:meth:`update_rows` at n = 1)."""
+        self.update_rows(table_name, ((rowid, updates),), conn=conn)
+
+    def _delete_locked(
+        self,
+        connection: Connection,
+        transaction: Transaction,
+        table: HeapTable,
+        rowid: int,
+    ) -> None:
+        """Delete one row of an already-locked table."""
+        current = table.get(rowid)
+        if current is None:
+            raise SchemaError(
+                f"table {table.name!r} has no row with rowid {rowid}"
+            )
+        self._fire_row_triggers(
+            table.name,
+            TriggerEvent.DELETE,
+            TriggerTiming.BEFORE,
+            transaction.txid,
+            current,
+            None,
+            connection=connection,
+        )
+        old_row = table.delete(rowid)
+        transaction.record_undo(
+            lambda: table.insert(old_row, rowid=rowid)
+        )
+        self._mark_write(transaction)
+        self.wal.append(
+            transaction.txid,
+            OP_DELETE,
+            table=table.name,
+            rowid=rowid,
+            before=dict(old_row),
+        )
+        self.statistics["deletes"] += 1
+        self._fire_row_triggers(
+            table.name,
+            TriggerEvent.DELETE,
+            TriggerTiming.AFTER,
+            transaction.txid,
+            old_row,
+            None,
+            connection=connection,
+        )
+
+    def delete_rows(
+        self,
+        table_name: str,
+        rowids: Iterable[int],
+        *,
+        conn: Connection | None = None,
+    ) -> int:
+        """Delete rows by rowid in ONE transaction — the only delete
+        body, with the same one-lock, one-commit shape as
+        :meth:`insert_many`; triggers run per row.  Returns the number
+        of rows deleted."""
+        batch = list(rowids)
+        if not batch:
+            return 0
+
+        def work(connection: Connection) -> int:
+            transaction, table = self._locked(connection, table_name)
+            for rowid in batch:
+                self._delete_locked(connection, transaction, table, rowid)
+            return len(batch)
+
+        return self.run_in_transaction(conn, work)
 
     def delete_row(
         self,
@@ -956,48 +1006,8 @@ class Database:
         *,
         conn: Connection | None = None,
     ) -> None:
-        def work(connection: Connection) -> None:
-            transaction = connection.require_transaction()
-            self.lock_table_exclusive(connection, table_name)
-            table = self.catalog.table(table_name)
-            current = table.get(rowid)
-            if current is None:
-                raise SchemaError(
-                    f"table {table.name!r} has no row with rowid {rowid}"
-                )
-            self._fire_row_triggers(
-                table.name,
-                TriggerEvent.DELETE,
-                TriggerTiming.BEFORE,
-                transaction.txid,
-                current,
-                None,
-                connection=connection,
-            )
-            old_row = table.delete(rowid)
-            transaction.record_undo(
-                lambda: table.insert(old_row, rowid=rowid)
-            )
-            self._mark_write(transaction)
-            self.wal.append(
-                transaction.txid,
-                OP_DELETE,
-                table=table.name,
-                rowid=rowid,
-                before=dict(old_row),
-            )
-            self.statistics["deletes"] += 1
-            self._fire_row_triggers(
-                table.name,
-                TriggerEvent.DELETE,
-                TriggerTiming.AFTER,
-                transaction.txid,
-                old_row,
-                None,
-                connection=connection,
-            )
-
-        self._with_transaction(conn, work)
+        """Delete one row by rowid (:meth:`delete_rows` at n = 1)."""
+        self.delete_rows(table_name, (rowid,), conn=conn)
 
     # -- journal access (log mining) ----------------------------------------------
 

@@ -262,19 +262,24 @@ def _execute_update(db: "Database", conn: "Connection", stmt: Update) -> Result:
     ]
     stmt = Update(stmt.table, assignments, where)
     path = plan_access(table, stmt.where)
-    targets = [(rowid, row) for rowid, row in path.rows()]
     compiled_assignments = [
         (column, compile_expression(expression))
         for column, expression in stmt.assignments
     ]
-    count = 0
-    for rowid, row in targets:
-        updates = {
-            column: assignment_fn(row)
-            for column, assignment_fn in compiled_assignments
-        }
-        db.update_row(stmt.table, rowid, updates, conn=conn)
-        count += 1
+    count = db.update_rows(
+        stmt.table,
+        [
+            (
+                rowid,
+                {
+                    column: assignment_fn(row)
+                    for column, assignment_fn in compiled_assignments
+                },
+            )
+            for rowid, row in path.rows()
+        ],
+        conn=conn,
+    )
     db.fire_statement_triggers(
         table.name, TriggerEvent.UPDATE, TriggerTiming.AFTER, txid, count, connection=conn
     )
@@ -291,13 +296,13 @@ def _execute_delete(db: "Database", conn: "Connection", stmt: Delete) -> Result:
         table.name, TriggerEvent.DELETE, TriggerTiming.BEFORE, txid, 0, connection=conn
     )
     path = plan_access(table, _resolve_subqueries(db, conn, stmt.where))
-    targets = [rowid for rowid, _row in path.rows()]
-    for rowid in targets:
-        db.delete_row(stmt.table, rowid, conn=conn)
-    db.fire_statement_triggers(
-        table.name, TriggerEvent.DELETE, TriggerTiming.AFTER, txid, len(targets), connection=conn
+    count = db.delete_rows(
+        stmt.table, [rowid for rowid, _row in path.rows()], conn=conn
     )
-    return Result(rowcount=len(targets))
+    db.fire_statement_triggers(
+        table.name, TriggerEvent.DELETE, TriggerTiming.AFTER, txid, count, connection=conn
+    )
+    return Result(rowcount=count)
 
 
 # --------------------------------------------------------------------------

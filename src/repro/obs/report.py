@@ -159,9 +159,6 @@ def run_stats_workload(
         consumed = 0
         for _ in range(events + 10):  # drain: propagation + retries
             propagator.pump()
-            # Exercise both consumption pumps so the process() and
-            # process_batch() failure boundaries each see traffic.
-            consumed += delivery.process(lambda message: None, batch=4)
             consumed += delivery.process_batch(lambda message: None, batch=16)
             # Depth by state on the live queue table: consumption UPDATEs
             # and DELETEs its rows, so this projection is patched.

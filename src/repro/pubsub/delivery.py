@@ -41,7 +41,7 @@ class DeliveryManager:
 
     **Driving contract**: ack deadlines are only enforced when this
     manager runs — :meth:`check_timeouts` executes at the top of every
-    :meth:`deliver`, :meth:`process`, and :meth:`process_batch` call.
+    :meth:`deliver` and :meth:`process_batch` call.
     There is no background thread, so if delivery stops (no new
     messages, dead consumer), a host loop must keep calling
     :meth:`process_batch` (or :meth:`check_timeouts` directly) on a
@@ -134,8 +134,11 @@ class DeliveryManager:
             raise DeliveryError(
                 f"message {message_id} is not awaiting acknowledgement"
             )
-        del self._pending[message_id]
+        # Forget the delivery only once the ack has happened: if the ack
+        # raises, the message is still LOCKED and the deadline sweep
+        # must still know about it.
         self.broker.ack(self.queue_name, message_id, principal="delivery")
+        del self._pending[message_id]
         self.stats["acked"] += 1
         self._m_acked.inc()
 
@@ -229,39 +232,8 @@ class DeliveryManager:
 
     # -- callback-style consumption --------------------------------------------
 
-    def process(
-        self, consumer: Consumer, *, batch: int = 100, consumer_name: str = "consumer"
-    ) -> int:
-        """Deliver up to ``batch`` messages to ``consumer``.
-
-        Successful returns ack automatically; exceptions nack (retry).
-        Returns the number successfully consumed.  One transaction per
-        dequeue and per ack; prefer :meth:`process_batch` for the
-        amortized path.
-        """
-        consumed = 0
-        for _ in range(batch):
-            message = self.deliver(consumer_name=consumer_name)
-            if message is None:
-                break
-            try:
-                self._run_consumer(consumer, message)
-            except Exception as exc:
-                # Formerly a silent drop of the exception object: the
-                # error is retained and counted *before* the nack, so a
-                # raising consumer is observable, not just retried.
-                self.stats["consumer_errors"] += 1
-                self._m_consumer_errors.inc()
-                self._obs.record_error("delivery.process", exc)
-                self.nack(message.message_id)
-                continue
-            self.ack(message.message_id)
-            self._finish(message)
-            consumed += 1
-        return consumed
-
     def _finish(self, message: Message) -> None:
-        """Success accounting shared by both consumption pumps."""
+        """Success accounting for one consumed message."""
         now = self.clock.now()
         if message.enqueued_at:
             self._m_hop_latency.observe(now - message.enqueued_at)
@@ -275,14 +247,16 @@ class DeliveryManager:
     def process_batch(
         self, consumer: Consumer, *, batch: int = 100, consumer_name: str = "consumer"
     ) -> int:
-        """Batched delivery pump: dequeue up to ``batch`` messages in
-        one transaction, run ``consumer`` on each, then ack every
-        success with ONE batch ack (failures nack individually).
+        """The delivery pump: dequeue up to ``batch`` messages in one
+        transaction, run ``consumer`` on each, then ack every success
+        with ONE batch ack (exceptions nack — retry — individually).
 
         Always starts by enforcing ack deadlines, so driving this on an
         idle queue still redelivers timed-out messages from dead
         consumers (see the class docstring's driving contract).
-        Returns the number successfully consumed.
+        Returns the number successfully consumed.  If the batch ack
+        itself raises, the exception propagates and the messages stay
+        pending, so the deadline sweep redelivers them (at-least-once).
         """
         self.check_timeouts()
         messages = self.broker.consume_batch(
@@ -300,8 +274,8 @@ class DeliveryManager:
             try:
                 self._run_consumer(consumer, message)
             except Exception as exc:
-                # Same boundary as process(): count and retain before
-                # the nack so batch-path failures are equally visible.
+                # Count and retain the error before the nack, so a
+                # raising consumer is observable, not just retried.
                 self.stats["consumer_errors"] += 1
                 self._m_consumer_errors.inc()
                 self._obs.record_error("delivery.process_batch", exc)
@@ -309,13 +283,13 @@ class DeliveryManager:
                 continue
             succeeded.append(message)
         if succeeded:
-            for message in succeeded:
-                del self._pending[message.message_id]
             self.broker.ack_batch(
                 self.queue_name,
                 [message.message_id for message in succeeded],
                 principal="delivery",
             )
+            for message in succeeded:
+                del self._pending[message.message_id]
             self.stats["acked"] += len(succeeded)
             self._m_acked.inc(len(succeeded))
             for message in succeeded:

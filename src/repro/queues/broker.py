@@ -6,7 +6,7 @@ This is the "staging area" façade from §2.2.b.  It owns:
 * the three message-acceptance paths of §2.2.b.i — client INSERT
   (:meth:`enqueue_via_sql`), foreign-system delivery
   (:meth:`ingest_foreign`), and internally created messages
-  (:meth:`publish`, the optimized fast path);
+  (:meth:`publish_batch`, the optimized fast path);
 * enforcement of the :class:`SecurityManager` and recording to the
   :class:`AuditTrail` when auditing is enabled.
 """
@@ -109,20 +109,6 @@ class QueueBroker:
 
     # -- message acceptance paths (§2.2.b.i) -------------------------------------
 
-    def publish(
-        self,
-        queue_name: str,
-        message: Message | Any,
-        *,
-        principal: str = "internal",
-    ) -> int:
-        """Internally created message — the optimized path (§2.2.b.i.3)."""
-        self.security.check(principal, queue_name, Permission.ENQUEUE)
-        self._fire(BROKER_PUBLISH, queue=queue_name, principal=principal)
-        message_id = self.queue(queue_name).enqueue(message)
-        self._audit(principal, "enqueue", queue_name, message_id)
-        return message_id
-
     def publish_batch(
         self,
         queue_name: str,
@@ -130,14 +116,25 @@ class QueueBroker:
         *,
         principal: str = "internal",
     ) -> list[int]:
-        """Publish a batch of internally created messages in ONE
-        transaction (security checked once, audited per message)."""
+        """Internally created messages — the optimized path
+        (§2.2.b.i.3): the whole batch in ONE transaction, security
+        checked once, audited per message."""
         self.security.check(principal, queue_name, Permission.ENQUEUE)
         self._fire(BROKER_PUBLISH, queue=queue_name, principal=principal)
         message_ids = self.queue(queue_name).enqueue_batch(messages)
         for message_id in message_ids:
             self._audit(principal, "enqueue", queue_name, message_id)
         return message_ids
+
+    def publish(
+        self,
+        queue_name: str,
+        message: Message | Any,
+        *,
+        principal: str = "internal",
+    ) -> int:
+        """Publish one message (:meth:`publish_batch` at n = 1)."""
+        return self.publish_batch(queue_name, [message], principal=principal)[0]
 
     def enqueue_via_sql(
         self,
@@ -191,17 +188,6 @@ class QueueBroker:
 
     # -- consumption -----------------------------------------------------------
 
-    def consume(
-        self, queue_name: str, *, principal: str = "consumer"
-    ) -> Message | None:
-        """Dequeue the next message (LOCKED until ack/requeue)."""
-        self.security.check(principal, queue_name, Permission.DEQUEUE)
-        self._fire(BROKER_CONSUME, queue=queue_name, principal=principal)
-        message = self.queue(queue_name).dequeue(consumer=principal)
-        if message is not None:
-            self._audit(principal, "dequeue", queue_name, message.message_id)
-        return message
-
     def consume_batch(
         self,
         queue_name: str,
@@ -220,11 +206,13 @@ class QueueBroker:
             self._audit(principal, "dequeue", queue_name, message.message_id)
         return messages
 
-    def ack(self, queue_name: str, message_id: int, *, principal: str = "consumer") -> None:
-        self.security.check(principal, queue_name, Permission.DEQUEUE)
-        self._fire(BROKER_ACK, queue=queue_name, message_id=message_id, principal=principal)
-        self.queue(queue_name).ack(message_id)
-        self._audit(principal, "ack", queue_name, message_id)
+    def consume(
+        self, queue_name: str, *, principal: str = "consumer"
+    ) -> Message | None:
+        """Dequeue the next message, or None when the queue is empty
+        (:meth:`consume_batch` at n = 1)."""
+        messages = self.consume_batch(queue_name, 1, principal=principal)
+        return messages[0] if messages else None
 
     def ack_batch(
         self,
@@ -233,15 +221,21 @@ class QueueBroker:
         *,
         principal: str = "consumer",
     ) -> int:
-        """Acknowledge a batch of LOCKED messages with ONE transaction
-        (one commit, one journal flush for the whole batch)."""
-        ids = list(message_ids)
+        """Acknowledge LOCKED messages with ONE transaction (one
+        commit, one journal flush for the whole batch).  Ids are
+        de-duplicated in order: the return value counts, and the audit
+        trail records, each distinct message once."""
+        ids = list(dict.fromkeys(message_ids))
         self.security.check(principal, queue_name, Permission.DEQUEUE)
         self._fire(BROKER_ACK, queue=queue_name, message_ids=ids, principal=principal)
         acked = self.queue(queue_name).ack_batch(ids)
         for message_id in ids:
             self._audit(principal, "ack", queue_name, message_id)
         return acked
+
+    def ack(self, queue_name: str, message_id: int, *, principal: str = "consumer") -> None:
+        """Acknowledge one message (:meth:`ack_batch` at n = 1)."""
+        self.ack_batch(queue_name, [message_id], principal=principal)
 
     def requeue(
         self,

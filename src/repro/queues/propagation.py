@@ -184,43 +184,20 @@ class Propagator:
         jitter = (mix / 4096.0) * 0.25
         return capped * (1.0 - jitter)
 
-    def run_once(self, *, batch: int = 100) -> int:
-        """Forward up to ``batch`` messages one at a time; returns how
-        many were fully delivered (acked at the source).
-
-        Each message costs its own dequeue and ack transaction; prefer
-        :meth:`pump` for the batched path.
-        """
-        if not self.links:
-            raise PropagationError("propagator has no links configured")
-        forwarded = 0
-        for _ in range(batch):
-            message = self.broker.consume(
-                self.source_queue, principal="propagator"
-            )
-            if message is None:
-                break
-            if self._forward(message):
-                forwarded += 1
-        return forwarded
-
     def pump(self, *, batch: int = 100) -> int:
-        """Batched drain: dequeue up to ``batch`` messages in one
+        """Drain up to ``batch`` messages: dequeue them in one
         transaction, forward each, then ack every fully delivered
         message with ONE batch ack — one commit and journal flush per
-        batch instead of per message.  Failed messages still requeue
-        (or dead-letter) individually.  Returns how many were fully
-        delivered.
+        batch instead of per message.  Failed messages requeue (or
+        dead-letter) individually.  Returns how many were fully
+        delivered (acked at the source).
         """
         if not self.links:
             raise PropagationError("propagator has no links configured")
         messages = self.broker.consume_batch(
             self.source_queue, batch, principal="propagator"
         )
-        delivered: list[Message] = []
-        for message in messages:
-            if self._forward(message, defer_ack=True):
-                delivered.append(message)
+        delivered = [message for message in messages if self._forward(message)]
         if delivered:
             self.broker.ack_batch(
                 self.source_queue,
@@ -232,9 +209,7 @@ class Propagator:
         return len(delivered)
 
     def _mark_forwarded(self, message: Message) -> None:
-        """Shared success accounting for the single-message and batched
-        paths — both report identical forwarded counts for the same
-        workload, and the metrics layer is the single source of truth.
+        """Success accounting, after the source ack.
 
         A fully forwarded message can never be re-dequeued, so its
         duplicate-suppression ids are evicted from every link window
@@ -254,7 +229,10 @@ class Propagator:
             source=self.source_queue,
         )
 
-    def _forward(self, message: Message, *, defer_ack: bool = False) -> bool:
+    def _forward(self, message: Message) -> bool:
+        """Send ``message`` down every link that has not taken it yet.
+        True when all links now have it (the pump acks it); otherwise
+        the message is requeued with backoff, or dead-lettered."""
         failures: list[tuple[PropagationLink, Exception]] = []
         for link in self.links:
             seen = self._delivered_ids[link.name]
@@ -268,12 +246,6 @@ class Propagator:
                 link.failed += 1
                 failures.append((link, exc))
         if not failures:
-            if defer_ack:
-                return True  # the batch pump acks (and counts) per batch
-            self.broker.ack(
-                self.source_queue, message.message_id, principal="propagator"
-            )
-            self._mark_forwarded(message)
             return True
         if message.attempts >= self.max_attempts:
             self._dead_letter(message, failures)

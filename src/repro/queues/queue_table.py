@@ -15,10 +15,10 @@ database's operational characteristics verbatim:
   keeps its place ahead of messages enqueued while it was locked.
 
 Two enqueue paths exist for EXP-3:
-:meth:`enqueue` is the internal fast path (programmatic row insert);
-:meth:`enqueue_via_insert` goes through the full SQL text interface the
-way an external client would ("extended INSERT interface",
-§2.2.b.i.1).
+:meth:`enqueue_batch` is the internal fast path (programmatic row
+insert; :meth:`enqueue` is it at n = 1); :meth:`enqueue_via_insert`
+goes through the full SQL text interface the way an external client
+would ("extended INSERT interface", §2.2.b.i.1).
 
 Dequeue is O(log n): each queue keeps an in-memory min-heap over its
 READY rows keyed ``(-priority, rowid)``, maintained by the enqueue /
@@ -30,10 +30,12 @@ different message).  The heap is rebuilt from the table when a
 and on demand via :meth:`rebuild_ready_index` after out-of-band SQL
 writes to the queue table.
 
-Batch operations (:meth:`enqueue_batch`, :meth:`dequeue_batch`,
-:meth:`ack_batch`) cover the whole batch with ONE transaction — one
-lock acquisition, one commit, one journal flush — which is where the
-"significant optimization opportunities" of §2.2.b.i.3 come from.
+The list forms (:meth:`enqueue_batch`, :meth:`dequeue_batch`,
+:meth:`ack_batch`) are the only implementation of each state
+transition and cover the whole batch with ONE transaction — one lock
+acquisition, one commit, one journal flush — which is where the
+"significant optimization opportunities" of §2.2.b.i.3 come from.  The
+single-message methods are the same code at n = 1.
 """
 
 from __future__ import annotations
@@ -137,7 +139,10 @@ class QueueTable:
 
     # -- enqueue --------------------------------------------------------------
 
-    def _prepare(self, message: Message) -> Message:
+    def _prepare(self, message: Message | Any) -> Message:
+        """Stamp a :class:`Message` (or bare payload) for admission."""
+        if not isinstance(message, Message):
+            message = Message(payload=message)
         now = self.clock.now()
         message.queue = self.name
         message.enqueued_at = now
@@ -158,24 +163,15 @@ class QueueTable:
         record_hop(trace_id, "queue.enqueue", now, queue=self.name)
         return message
 
-    def enqueue(
-        self, message: Message | Any, *, conn: Connection | None = None
-    ) -> int:
-        """Internal fast-path enqueue (programmatic insert).
-
-        Accepts a :class:`Message` or a bare payload.  Returns the
-        message id.  Joins the caller's transaction when ``conn`` is
-        given.
-        """
-        if not isinstance(message, Message):
-            message = Message(payload=message)
-        message = self._prepare(message)
-        rowid = self.db.insert_row(self.table_name, message.to_row(), conn=conn)
-        message.message_id = rowid
-        heapq.heappush(self._ready, (-message.priority, rowid))
-        self.stats["enqueued"] += 1
-        self._m_enqueued.inc()
-        return rowid
+    def _admit(self, messages: Sequence[Message], rowids: list[int]) -> list[int]:
+        """The one admit tail: the stored rows become messages of this
+        queue — id assigned, READY-heap entry pushed, counted."""
+        for message, rowid in zip(messages, rowids):
+            message.message_id = rowid
+            heapq.heappush(self._ready, (-message.priority, rowid))
+        self.stats["enqueued"] += len(rowids)
+        self._m_enqueued.inc(len(rowids))
+        return rowids
 
     def enqueue_batch(
         self,
@@ -183,32 +179,32 @@ class QueueTable:
         *,
         conn: Connection | None = None,
     ) -> list[int]:
-        """Enqueue a batch of messages in ONE transaction.
+        """Enqueue messages (or bare payloads) in ONE transaction — the
+        internal fast path (programmatic insert) and the only enqueue
+        body.
 
         The whole batch shares a single table lock, commit, and journal
         flush (group commit degenerate case: the batch *is* the group),
         so per-message cost drops sharply with batch size — the EXP-2
         batch-size sweep quantifies it.  Returns the message ids, in
         input order; each input :class:`Message` gets its
-        ``message_id`` assigned, exactly like :meth:`enqueue`.
+        ``message_id`` assigned.  Joins the caller's transaction when
+        ``conn`` is given.
         """
-        prepared = [
-            self._prepare(
-                message if isinstance(message, Message) else Message(payload=message)
-            )
-            for message in messages
-        ]
+        prepared = [self._prepare(message) for message in messages]
         if not prepared:
             return []
         rowids = self.db.insert_many(
             self.table_name, [message.to_row() for message in prepared], conn=conn
         )
-        for message, rowid in zip(prepared, rowids):
-            message.message_id = rowid
-            heapq.heappush(self._ready, (-message.priority, rowid))
-        self.stats["enqueued"] += len(rowids)
-        self._m_enqueued.inc(len(rowids))
-        return rowids
+        return self._admit(prepared, rowids)
+
+    def enqueue(
+        self, message: Message | Any, *, conn: Connection | None = None
+    ) -> int:
+        """Enqueue one message; returns its id (:meth:`enqueue_batch`
+        at n = 1)."""
+        return self.enqueue_batch([message], conn=conn)[0]
 
     def enqueue_via_insert(self, message: Message | Any) -> int:
         """Client-style enqueue through the SQL INSERT interface.
@@ -216,8 +212,6 @@ class QueueTable:
         Exercises the full lex/parse/plan path a foreign client would
         use — the baseline EXP-3 compares against the fast path.
         """
-        if not isinstance(message, Message):
-            message = Message(payload=message)
         message = self._prepare(message)
         row = message.to_row()
         columns = ", ".join(row)
@@ -225,13 +219,8 @@ class QueueTable:
         result = self.db.execute(
             f"INSERT INTO {self.table_name} ({columns}) VALUES ({values})"
         )
-        # Leave the caller's Message in the same state as the fast
-        # path: the SQL path returns the assigned id via lastrowid.
-        message.message_id = result.lastrowid
-        heapq.heappush(self._ready, (-message.priority, result.lastrowid))
-        self.stats["enqueued"] += 1
-        self._m_enqueued.inc()
-        return result.lastrowid
+        # The SQL path returns the assigned id via lastrowid.
+        return self._admit([message], [result.lastrowid])[0]
 
     def enqueue_via_prepared(self, message: Message | Any) -> int:
         """Client-style enqueue through a prepared parameterized INSERT.
@@ -241,8 +230,6 @@ class QueueTable:
         first call every enqueue is a statement-cache hit: bind + plan +
         execute with no lexing or parsing — the EXP-3 ``prepared`` arm.
         """
-        if not isinstance(message, Message):
-            message = Message(payload=message)
         message = self._prepare(message)
         row = message.to_row()
         if (
@@ -257,11 +244,7 @@ class QueueTable:
             )
             self._prepared_columns = tuple(row)
         result = self._prepared_insert.execute(tuple(row.values()))
-        message.message_id = result.lastrowid
-        heapq.heappush(self._ready, (-message.priority, result.lastrowid))
-        self.stats["enqueued"] += 1
-        self._m_enqueued.inc()
-        return result.lastrowid
+        return self._admit([message], [result.lastrowid])[0]
 
     # -- dequeue ----------------------------------------------------------------
 
@@ -354,18 +337,15 @@ class QueueTable:
         consumer: str = "anonymous",
         conn: Connection | None = None,
     ) -> Message | None:
-        """Lock and return the next READY message, or None when empty.
+        """Lock and return the next READY message, or None when empty
+        (:meth:`dequeue_batch` at n = 1).
 
         The returned message is LOCKED until :meth:`ack` (consume) or
         :meth:`requeue` (failure).  Expired candidates encountered on
         the way are marked EXPIRED.
         """
-
-        def work(connection: Connection) -> Message | None:
-            messages = self._dequeue_ready(connection, consumer, 1)
-            return messages[0] if messages else None
-
-        return self.db.run_in_transaction(conn, work)
+        messages = self.dequeue_batch(1, consumer=consumer, conn=conn)
+        return messages[0] if messages else None
 
     def dequeue_batch(
         self,
@@ -389,63 +369,66 @@ class QueueTable:
 
         return self.db.run_in_transaction(conn, work)
 
-    def ack(self, message_id: int, *, conn: Connection | None = None) -> None:
-        """Consume a LOCKED message (delete, or mark CONSUMED when the
-        queue keeps history)."""
-
-        def work(connection: Connection) -> None:
-            self._require_state(message_id, MessageState.LOCKED, "ack")
-            if self.keep_history:
-                self.db.update_row(
-                    self.table_name,
-                    message_id,
-                    {"state": MessageState.CONSUMED.value},
-                    conn=connection,
-                )
-            else:
-                self.db.delete_row(self.table_name, message_id, conn=connection)
-            self.stats["acked"] += 1
-            self._m_acked.inc()
-
-        self.db.run_in_transaction(conn, work)
+    def _consume(self, rowids: Sequence[int], conn: Connection | None) -> None:
+        """The one consume body: delete the rows, or mark them CONSUMED
+        when the queue keeps history."""
+        if self.keep_history:
+            self.db.update_rows(
+                self.table_name,
+                [(rowid, {"state": MessageState.CONSUMED.value}) for rowid in rowids],
+                conn=conn,
+            )
+        else:
+            self.db.delete_rows(self.table_name, rowids, conn=conn)
 
     def ack_batch(
         self,
-        message_ids: Sequence[int],
+        message_ids: Iterable[int],
         *,
         conn: Connection | None = None,
     ) -> int:
-        """Consume a batch of LOCKED messages in ONE transaction.
+        """Consume LOCKED messages in ONE transaction (deleted, or
+        marked CONSUMED when the queue keeps history).
 
         All-or-nothing: every id must name a LOCKED message or the
-        whole batch fails (and rolls back).  Returns the number acked.
+        whole batch fails (and rolls back).  Ids are de-duplicated in
+        order — a repeated id is one message — and the return value and
+        the ``acked`` counters count distinct messages.
         """
-        ids = list(message_ids)
+        ids = list(dict.fromkeys(message_ids))
         if not ids:
             return 0
 
         def work(connection: Connection) -> int:
-            for message_id in ids:
-                self._require_state(message_id, MessageState.LOCKED, "ack")
-            if self.keep_history:
-                self.db.update_rows(
-                    self.table_name,
-                    [
-                        (message_id, {"state": MessageState.CONSUMED.value})
-                        for message_id in ids
-                    ],
-                    conn=connection,
-                )
-            else:
-                for message_id in ids:
-                    self.db.delete_row(
-                        self.table_name, message_id, conn=connection
-                    )
+            self._require_state(ids, MessageState.LOCKED, "ack")
+            self._consume(ids, connection)
             self.stats["acked"] += len(ids)
             self._m_acked.inc(len(ids))
             return len(ids)
 
         return self.db.run_in_transaction(conn, work)
+
+    def ack(self, message_id: int, *, conn: Connection | None = None) -> None:
+        """Consume one LOCKED message (:meth:`ack_batch` at n = 1)."""
+        self.ack_batch([message_id], conn=conn)
+
+    def force_consume(self, message_ids: Iterable[int]) -> int:
+        """Consume messages whatever their state, in ONE transaction,
+        skipping ids with no row; returns how many were consumed.
+
+        This is how a replica applies shipped acks: its copies are
+        READY (nothing dequeues on a replica), so :meth:`ack_batch`'s
+        LOCKED requirement cannot hold there.  Not an acknowledgement:
+        the ``acked`` counters do not move.
+        """
+        table = self.db.catalog.table(self.table_name)
+        rowids = [
+            message_id
+            for message_id in dict.fromkeys(message_ids)
+            if table.get(message_id) is not None
+        ]
+        self._consume(rowids, None)
+        return len(rowids)
 
     def requeue(
         self,
@@ -462,15 +445,21 @@ class QueueTable:
         """
 
         def work(connection: Connection) -> None:
-            row = self._require_state(message_id, MessageState.LOCKED, "requeue")
-            self.db.update_row(
+            (row,) = self._require_state(
+                [message_id], MessageState.LOCKED, "requeue"
+            )
+            self.db.update_rows(
                 self.table_name,
-                message_id,
-                {
-                    "state": MessageState.READY.value,
-                    "consumer": None,
-                    "visible_at": self.clock.now() + delay,
-                },
+                [
+                    (
+                        message_id,
+                        {
+                            "state": MessageState.READY.value,
+                            "consumer": None,
+                            "visible_at": self.clock.now() + delay,
+                        },
+                    )
+                ],
                 conn=connection,
             )
             heapq.heappush(self._ready, (-row["priority"], message_id))
@@ -480,24 +469,29 @@ class QueueTable:
         self.db.run_in_transaction(conn, work)
 
     def _require_state(
-        self, message_id: int, expected: MessageState, operation: str
-    ) -> dict[str, Any]:
+        self, message_ids: Sequence[int], expected: MessageState, operation: str
+    ) -> list[dict[str, Any]]:
+        """The rows of ``message_ids``, every one in ``expected`` state
+        (raises on the first that is not)."""
         table = self.db.catalog.table(self.table_name)
-        row = table.get(message_id)
-        if row is None:
-            raise QueueError(
-                f"{operation}: message {message_id} not found in {self.name!r}"
-            )
-        if row["state"] == MessageState.EXPIRED.value:
-            raise MessageExpiredError(
-                f"{operation}: message {message_id} expired"
-            )
-        if row["state"] != expected.value:
-            raise QueueError(
-                f"{operation}: message {message_id} is {row['state']}, "
-                f"expected {expected.value}"
-            )
-        return row
+        rows = []
+        for message_id in message_ids:
+            row = table.get(message_id)
+            if row is None:
+                raise QueueError(
+                    f"{operation}: message {message_id} not found in {self.name!r}"
+                )
+            if row["state"] == MessageState.EXPIRED.value:
+                raise MessageExpiredError(
+                    f"{operation}: message {message_id} expired"
+                )
+            if row["state"] != expected.value:
+                raise QueueError(
+                    f"{operation}: message {message_id} is {row['state']}, "
+                    f"expected {expected.value}"
+                )
+            rows.append(row)
+        return rows
 
     # -- maintenance & inspection -------------------------------------------------
 
@@ -525,17 +519,20 @@ class QueueTable:
         """Sweep READY messages past their expiration; returns count."""
         now = self.clock.now()
         table = self.db.catalog.table(self.table_name)
-        expired = 0
-        for rowid in table.lookup_rowids("state", MessageState.READY.value):
-            row = table.get(rowid)
-            if row and row["expires_at"] is not None and row["expires_at"] <= now:
-                self.db.update_row(
-                    self.table_name, rowid, {"state": MessageState.EXPIRED.value}
-                )
-                expired += 1
-        self.stats["expired"] += expired
-        self._m_expired.inc(expired)
-        return expired
+        expired = [
+            rowid
+            for rowid in table.lookup_rowids("state", MessageState.READY.value)
+            if (row := table.get(rowid))
+            and row["expires_at"] is not None
+            and row["expires_at"] <= now
+        ]
+        self.db.update_rows(
+            self.table_name,
+            [(rowid, {"state": MessageState.EXPIRED.value}) for rowid in expired],
+        )
+        self.stats["expired"] += len(expired)
+        self._m_expired.inc(len(expired))
+        return len(expired)
 
     def recover_locked(self, *, consumer: str | None = None) -> int:
         """Return LOCKED messages to READY after a consumer failure.
@@ -544,21 +541,22 @@ class QueueTable:
         released.  Returns the number of messages recovered.
         """
         table = self.db.catalog.table(self.table_name)
-        recovered = 0
-        for rowid in table.lookup_rowids("state", MessageState.LOCKED.value):
-            row = table.get(rowid)
-            if row is None:
-                continue
-            if consumer is not None and row["consumer"] != consumer:
-                continue
-            self.db.update_row(
-                self.table_name,
-                rowid,
-                {"state": MessageState.READY.value, "consumer": None},
-            )
-            heapq.heappush(self._ready, (-row["priority"], rowid))
-            recovered += 1
-        return recovered
+        entries = [
+            (-row["priority"], rowid)
+            for rowid in table.lookup_rowids("state", MessageState.LOCKED.value)
+            if (row := table.get(rowid)) is not None
+            and (consumer is None or row["consumer"] == consumer)
+        ]
+        self.db.update_rows(
+            self.table_name,
+            [
+                (rowid, {"state": MessageState.READY.value, "consumer": None})
+                for _priority, rowid in entries
+            ],
+        )
+        for entry in entries:
+            heapq.heappush(self._ready, entry)
+        return len(entries)
 
     def rebuild_ready_index(self) -> int:
         """Re-derive the in-memory READY heap from the table.

@@ -62,7 +62,6 @@ _MUTATING_OPS = frozenset(
         "create_queue",
         "drop_queue",
         "publish_batch",
-        "ack",
         "ack_batch",
         "requeue",
         "consume_batch",
@@ -331,15 +330,6 @@ class ShardedQueueBroker:
         )
         return [wire_to_consumed(wire) for wire in wires]
 
-    def ack(
-        self, queue_name: str, message_id: int, *, principal: str = "consumer"
-    ) -> None:
-        self._call(
-            queue_name,
-            "ack",
-            {"queue": queue_name, "message_id": message_id, "principal": principal},
-        )
-
     def ack_batch(
         self,
         queue_name: str,
@@ -356,6 +346,11 @@ class ShardedQueueBroker:
                 "principal": principal,
             },
         )
+
+    def ack(
+        self, queue_name: str, message_id: int, *, principal: str = "consumer"
+    ) -> None:
+        self.ack_batch(queue_name, [message_id], principal=principal)
 
     def requeue(
         self,

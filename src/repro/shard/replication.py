@@ -96,7 +96,7 @@ class ReplicationLog:
 #: replica re-serves unacked messages, exactly like a restarted
 #: primary's ``recover_locked``).
 _MUTATION_KINDS = frozenset(
-    {"publish_batch", "ack", "ack_batch", "create_queue", "drop_queue"}
+    {"publish_batch", "ack_batch", "create_queue", "drop_queue"}
 )
 
 
@@ -143,9 +143,6 @@ class ShardReplicator:
                 "messages": args["messages"],
                 "ids": result,
             }
-        elif op == "ack":
-            entry = {"kind": "ack", "queue": args["queue"],
-                     "ids": [args["message_id"]]}
         elif op == "ack_batch":
             entry = {"kind": "ack", "queue": args["queue"],
                      "ids": list(args["message_ids"])}

@@ -38,7 +38,6 @@ from repro.faults import (
     stall,
 )
 from repro.queues.broker import QueueBroker
-from repro.queues.message import MessageState
 from repro.shard.protocol import (
     consumed_to_wire,
     exported_to_wire,
@@ -87,7 +86,6 @@ _PRIMARY_ONLY_OPS = frozenset(
         "drop_queue",
         "publish_batch",
         "consume_batch",
-        "ack",
         "ack_batch",
         "requeue",
         "prepare",
@@ -199,10 +197,6 @@ class ShardWorker:
             queue, max_messages, principal=principal
         )
         return [consumed_to_wire(message) for message in messages]
-
-    def op_ack(self, queue: str, message_id: int, principal: str = "consumer") -> bool:
-        self.broker.ack(queue, message_id, principal=principal)
-        return True
 
     def op_ack_batch(
         self, queue: str, message_ids: list[int], principal: str = "consumer"
@@ -320,51 +314,25 @@ class ShardWorker:
             self._idmap.pop(entry["name"].lower(), None)
         elif kind == "publish":
             queue = self.broker.create_queue_or_attach(entry["queue"])
-            idmap = self._idmap.setdefault(entry["queue"].lower(), {})
-            primary_ids = entry.get("ids") or []
-            for index, wire in enumerate(entry["messages"]):
-                rowid = queue.enqueue(wire_to_message(wire))
-                if index < len(primary_ids):
-                    idmap[primary_ids[index]] = rowid
+            rowids = queue.enqueue_batch(
+                [wire_to_message(wire) for wire in entry["messages"]]
+            )
+            self._idmap.setdefault(entry["queue"].lower(), {}).update(
+                zip(entry.get("ids") or [], rowids)
+            )
         elif kind == "ack":
-            self._force_consume(entry["queue"], entry["ids"])
+            # By primary id, whatever the state: replica copies are
+            # READY (nothing consumes on a replica).  Unmapped ids are
+            # skipped: the message was acked on the primary before this
+            # replica's snapshot, so it never existed here.
+            idmap = self._idmap.get(entry["queue"].lower(), {})
+            self.broker.queue(entry["queue"]).force_consume(
+                [idmap[primary_id] for primary_id in entry["ids"] if primary_id in idmap]
+            )
+            for primary_id in entry["ids"]:
+                idmap.pop(primary_id, None)
         else:
             raise ReproError(f"shard replica: unknown entry kind {kind!r}")
-
-    def _force_consume(self, queue_name: str, primary_ids: list[int]) -> None:
-        """Consume replicated acks by primary id, bypassing the LOCKED
-        requirement (replica copies are READY — nothing consumes on a
-        replica).  Unmapped ids are skipped: the message was acked on
-        the primary before this replica's snapshot, so it never existed
-        here."""
-        queue = self.broker.queue(queue_name)
-        idmap = self._idmap.get(queue_name.lower(), {})
-        rowids = [
-            idmap[primary_id]
-            for primary_id in primary_ids
-            if primary_id in idmap
-        ]
-        if not rowids:
-            return
-        table = self.db.catalog.table(queue.table_name)
-
-        def work(conn: Any) -> None:
-            for rowid in rowids:
-                if table.get(rowid) is None:
-                    continue
-                if queue.keep_history:
-                    self.db.update_row(
-                        queue.table_name,
-                        rowid,
-                        {"state": MessageState.CONSUMED.value},
-                        conn=conn,
-                    )
-                else:
-                    self.db.delete_row(queue.table_name, rowid, conn=conn)
-
-        self.db.run_in_transaction(None, work)
-        for primary_id in primary_ids:
-            idmap.pop(primary_id, None)
 
     def op_export_queues(self) -> dict[str, Any]:
         """Snapshot every queue (configs + pending messages, LOCKED
@@ -405,13 +373,14 @@ class ShardWorker:
                 keep_history=spec.get("keep_history", False),
                 default_expiration=spec.get("default_expiration"),
             )
-            idmap = self._idmap.setdefault(spec["name"].lower(), {})
-            for wire in spec["messages"]:
-                primary_id = wire.get("primary_id")
-                rowid = queue.enqueue(wire_to_message(wire))
-                if primary_id is not None:
-                    idmap[primary_id] = rowid
-                imported += 1
+            wires = spec["messages"]
+            rowids = queue.enqueue_batch([wire_to_message(wire) for wire in wires])
+            self._idmap[spec["name"].lower()] = {
+                wire["primary_id"]: rowid
+                for wire, rowid in zip(wires, rowids)
+                if wire.get("primary_id") is not None
+            }
+            imported += len(rowids)
         self.applied_seq = int(applied_seq)
         return {"imported": imported, "applied_seq": self.applied_seq}
 

@@ -367,9 +367,9 @@ class TestDeliveryConsumerFailpoint:
         injector.arm(DELIVERY_CONSUMER, raise_fault(), policy=on_hit(1))
 
         consumed = []
-        assert manager.process(consumed.append, batch=1) == 0  # injected failure
+        assert manager.process_batch(consumed.append, batch=1) == 0  # injected failure
         assert manager.stats["consumer_errors"] == 1
-        assert manager.process(consumed.append, batch=1) == 1  # redelivery succeeds
+        assert manager.process_batch(consumed.append, batch=1) == 1  # redelivery succeeds
         assert [m.payload for m in consumed] == [{"n": 1}]
 
     def test_persistent_consumer_fault_dead_letters(self):
@@ -384,10 +384,49 @@ class TestDeliveryConsumerFailpoint:
         injector.arm(DELIVERY_CONSUMER, raise_fault())  # always fails
 
         for _ in range(3):
-            manager.process(lambda message: None)
+            manager.process_batch(lambda message: None)
         dead = list(broker.queue("jobs_dead").browse())
         assert len(dead) == 1
         assert dead[0].headers["origin_queue"] == "jobs"
         assert dead[0].headers["dead_letter_reason"] == "max delivery attempts"
         assert manager.stats["dead_lettered"] == 1
         assert broker.queue("jobs").depth() == 0
+
+
+class TestDeliveryAckFailure:
+    """Regression: a delivery whose ack raised was dropped from the
+    deadline sweep while its message stayed LOCKED — stranded forever."""
+
+    def make_manager(self):
+        injector = FaultInjector()
+        clock = SimulatedClock(start=0.0)
+        broker = QueueBroker(Database(clock=clock, faults=injector))
+        broker.create_queue("jobs")
+        manager = DeliveryManager(broker, "jobs", ack_timeout=30.0)
+        return injector, clock, broker, manager
+
+    def test_failed_batch_ack_is_redelivered_after_the_deadline(self):
+        injector, clock, broker, manager = self.make_manager()
+        broker.publish_batch("jobs", [{"n": i} for i in range(3)])
+        injector.arm(BROKER_ACK, raise_fault(), policy=on_hit(1))
+        with pytest.raises(FaultInjectedError):
+            manager.process_batch(lambda message: None)
+        locked = list(broker.queue("jobs").browse(include_locked=True))
+        assert len(locked) == 3 and broker.queue("jobs").depth() == 0
+        clock.advance(100.0)
+        redelivered = []
+        assert manager.process_batch(redelivered.append) == 3
+        assert [m.attempts for m in redelivered] == [2, 2, 2]
+        assert manager.stats["redelivered"] == 3
+        assert list(broker.queue("jobs").browse(include_locked=True)) == []
+
+    def test_failed_explicit_ack_stays_pending(self):
+        injector, clock, broker, manager = self.make_manager()
+        broker.publish("jobs", {"n": 1})
+        message = manager.deliver()
+        injector.arm(BROKER_ACK, raise_fault(), policy=on_hit(1))
+        with pytest.raises(FaultInjectedError):
+            manager.ack(message.message_id)
+        manager.ack(message.message_id)  # still awaiting ack: retry works
+        assert manager.stats["acked"] == 1
+        assert list(broker.queue("jobs").browse(include_locked=True)) == []

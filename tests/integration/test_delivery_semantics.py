@@ -47,7 +47,7 @@ class TestAtLeastOnce:
         restarted = Propagator(source, "outbox").add_link(
             PropagationLink("svc", service=service)
         )
-        assert restarted.run_once() == 1
+        assert restarted.pump() == 1
 
         # Duplicate delivered — at-least-once, not exactly-once...
         assert len(service.received) == 2

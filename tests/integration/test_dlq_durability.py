@@ -54,7 +54,7 @@ class TestDeliveryManagerDlqDurability:
             raise ValueError("cannot process")
 
         for _ in range(3):
-            manager.process(consumer)
+            manager.process_batch(consumer)
         assert manager.stats["dead_lettered"] == 1
         db.simulate_crash()  # drops volatile state, replays the journal
 
@@ -86,7 +86,7 @@ class TestPropagatorDlqDurability:
         ).add_link(PropagationLink("svc", service=DownService()))
         origin_id = broker.publish("outbox", {"doomed": True})
         for _ in range(4):
-            propagator.run_once()
+            propagator.pump()
             clock.advance(2.0)
         assert propagator.stats["dead_lettered"] == 1
         db.simulate_crash()

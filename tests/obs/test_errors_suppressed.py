@@ -61,28 +61,13 @@ class TestDeliveryProcess:
         db.faults.arm(
             DELIVERY_CONSUMER, raise_fault("consumer crash"), max_fires=1
         )
-        assert delivery.process(lambda message: None, batch=1) == 0
-        assert delivery.stats["consumer_errors"] == 1
-        assert db.obs.errors_suppressed("delivery.process") == 1
-        assert isinstance(
-            db.obs.last_error("delivery.process"), FaultInjectedError
-        )
-        # The message survives for a later retry.
-        assert delivery.process(lambda message: None) == 1
-
-    def test_batch_pump_counts_under_its_own_stage(self, db):
-        db.faults = FaultInjector()
-        broker = QueueBroker(db)
-        broker.create_queue("jobs")
-        broker.publish("jobs", Message(payload={"job": 1}))
-        delivery = DeliveryManager(broker, "jobs", max_attempts=3)
-        db.faults.arm(
-            DELIVERY_CONSUMER, raise_fault("consumer crash"), max_fires=1
-        )
-        assert delivery.process_batch(lambda message: None) == 0
+        assert delivery.process_batch(lambda message: None, batch=1) == 0
         assert delivery.stats["consumer_errors"] == 1
         assert db.obs.errors_suppressed("delivery.process_batch") == 1
-        assert db.obs.errors_suppressed("delivery.process") == 0
+        assert isinstance(
+            db.obs.last_error("delivery.process_batch"), FaultInjectedError
+        )
+        # The message survives for a later retry.
         assert delivery.process_batch(lambda message: None) == 1
 
 

@@ -48,7 +48,6 @@ class TestStatsWorkload:
         suppressed.update(report["remote"]["errors_suppressed"])
         for stage in (
             "pubsub.drain",
-            "delivery.process",
             "delivery.process_batch",
             "capture.trigger.close",
             "capture.notification.close",

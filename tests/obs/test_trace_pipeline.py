@@ -76,9 +76,9 @@ class TestTriggerCaptureTrace:
             if crashes:
                 crashes.pop()
                 raise RuntimeError("first attempt fails")
-        assert delivery.process(consumer, batch=1) == 0
+        assert delivery.process_batch(consumer, batch=1) == 0
         clock.advance(1.0)
-        assert delivery.process(consumer, batch=1) == 1
+        assert delivery.process_batch(consumer, batch=1) == 1
 
         stages = [hop.stage for hop in trace_log.lookup(trace_id)]
         for stage in (
@@ -141,9 +141,9 @@ class TestDeadLetterTrace:
         )
         def consumer(message):
             raise RuntimeError("always fails")
-        delivery.process(consumer, batch=1)
+        delivery.process_batch(consumer, batch=1)
         clock.advance(1.0)
-        delivery.process(consumer, batch=1)
+        delivery.process_batch(consumer, batch=1)
 
         dead = broker.consume("jobs_dlq", principal="test")
         assert dead is not None

@@ -155,7 +155,7 @@ class TestDeliveryManager:
 
         total = 0
         for _ in range(5):
-            total += manager.process(consumer)
+            total += manager.process_batch(consumer)
         assert consumed == [{"fine": True}]
         assert manager.stats["dead_lettered"] == 1
         dead = work_queue.consume("dead")
@@ -179,7 +179,7 @@ class TestDeliveryManager:
             consumed.append(message.payload["n"])
 
         for _ in range(10):
-            manager.process(flaky)
+            manager.process_batch(flaky)
         dead = []
         while True:
             message = work_queue.consume("dead")
@@ -197,7 +197,7 @@ class TestDeliveryManager:
         def consumer(message):
             raise ValueError("cannot process")
 
-        manager.process(consumer)
+        manager.process_batch(consumer)
         dead = work_queue.consume("dead")
         assert dead.headers["origin_message_id"] == origin_id
         assert dead.headers["origin_queue"] == "work"

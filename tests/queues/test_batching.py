@@ -162,6 +162,22 @@ class TestAckBatch:
         assert states == {"consumed"}
 
 
+    @pytest.mark.parametrize("keep_history", [False, True])
+    def test_duplicate_ids_count_one_message(self, db, keep_history):
+        """Regression: a repeated id raised a raw SchemaError on a
+        default queue and double-counted on a keep_history one."""
+        queue = QueueTable(db, "dup", keep_history=keep_history)
+        queue.enqueue_batch(["a", "b"])
+        first, second = queue.dequeue_batch(2)
+        ids = [first.message_id, second.message_id, first.message_id]
+        assert queue.ack_batch(ids) == 2
+        assert queue.stats["acked"] == 2
+        assert db.obs.snapshot()["counters"]["queue.acked{queue=dup}"] == 2
+        table = db.catalog.table(queue.table_name)
+        states = [row["state"] for _rowid, row in table.scan()]
+        assert states == (["consumed", "consumed"] if keep_history else [])
+
+
 class TestRequeueFairness:
     """A requeued message keeps its original FIFO position: it must not
     fall behind messages enqueued while it was locked (and the heap's
@@ -209,6 +225,21 @@ class TestBrokerBatchApi:
         broker.publish_batch("q", ["a", "b"])
         entries = broker.audit.entries()
         assert sum(1 for e in entries if e["operation"] == "enqueue") == 2
+
+
+    @pytest.mark.parametrize("keep_history", [False, True])
+    def test_duplicate_ack_ids_audited_once_per_message(self, db, keep_history):
+        broker = QueueBroker(db, audit=True)
+        broker.create_queue("q", keep_history=keep_history)
+        broker.publish_batch("q", ["a", "b"])
+        first, second = broker.consume_batch("q", 2)
+        ids = [first.message_id, first.message_id, second.message_id]
+        assert broker.ack_batch("q", ids) == 2
+        assert broker.stats()["q"]["acked"] == 2
+        acks = [e for e in broker.audit.entries() if e["operation"] == "ack"]
+        assert [e["message_id"] for e in acks] == [
+            first.message_id, second.message_id
+        ]
 
 
 class TestPropagatorPump:

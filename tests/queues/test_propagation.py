@@ -54,7 +54,7 @@ class TestLinkValidation:
 
     def test_run_without_links_rejected(self, source):
         with pytest.raises(PropagationError):
-            Propagator(source, "outbox").run_once()
+            Propagator(source, "outbox").pump()
 
 
 class TestForwarding:
@@ -63,7 +63,7 @@ class TestForwarding:
             PropagationLink("r", broker=remote, queue_name="inbox")
         )
         source.publish("outbox", {"k": 1})
-        assert propagator.run_once() == 1
+        assert propagator.pump() == 1
         message = remote.consume("inbox")
         assert message.payload == {"k": 1}
         assert message.headers["propagated_from"] == "outbox"
@@ -75,7 +75,7 @@ class TestForwarding:
             PropagationLink("svc", service=service)
         )
         source.publish("outbox", "hello")
-        propagator.run_once()
+        propagator.pump()
         assert [m.payload for m in service.received] == ["hello"]
 
     def test_fan_out_to_multiple_links(self, source, remote):
@@ -86,7 +86,7 @@ class TestForwarding:
             .add_link(PropagationLink("svc", service=service))
         )
         source.publish("outbox", "x")
-        propagator.run_once()
+        propagator.pump()
         assert remote.queue("inbox").depth() == 1
         assert len(service.received) == 1
 
@@ -99,7 +99,7 @@ class TestForwarding:
             PropagationLink("r", broker=remote, queue_name="inbox", transform=escalate)
         )
         source.publish("outbox", "x")
-        propagator.run_once()
+        propagator.pump()
         assert remote.consume("inbox").priority == 9
 
     def test_batch_bound(self, source, remote):
@@ -108,7 +108,7 @@ class TestForwarding:
         )
         for i in range(10):
             source.publish("outbox", i)
-        assert propagator.run_once(batch=4) == 4
+        assert propagator.pump(batch=4) == 4
         assert source.queue("outbox").depth() == 6
 
 
@@ -119,11 +119,11 @@ class TestRetryAndDeadLetter:
             source, "outbox", base_backoff=1.0
         ).add_link(PropagationLink("svc", service=service))
         source.publish("outbox", "x")
-        assert propagator.run_once() == 0  # first attempt fails
+        assert propagator.pump() == 0  # first attempt fails
         clock.advance(2.0)
-        assert propagator.run_once() == 0  # second fails
+        assert propagator.pump() == 0  # second fails
         clock.advance(4.0)
-        assert propagator.run_once() == 1  # third succeeds
+        assert propagator.pump() == 1  # third succeeds
         assert propagator.stats["retried"] == 2
         assert len(service.received) == 1
 
@@ -135,7 +135,7 @@ class TestRetryAndDeadLetter:
         ).add_link(PropagationLink("svc", service=service))
         source.publish("outbox", {"doomed": True})
         for _ in range(5):
-            propagator.run_once()
+            propagator.pump()
             clock.advance(10.0)
         assert propagator.stats["dead_lettered"] == 1
         assert source.queue("outbox").depth() == 0
@@ -152,9 +152,9 @@ class TestRetryAndDeadLetter:
             .add_link(PropagationLink("flaky", service=service))
         )
         source.publish("outbox", "x")
-        propagator.run_once()  # ok delivers, flaky fails
+        propagator.pump()  # ok delivers, flaky fails
         clock.advance(1.0)
-        propagator.run_once()  # retry: only flaky delivers
+        propagator.pump()  # retry: only flaky delivers
         assert remote.queue("inbox").depth() == 1  # no duplicate
         assert len(service.received) == 1
 
@@ -213,7 +213,7 @@ class TestBackoffSchedule:
         source.publish("outbox", "x")
         attempts = 0
         while len(service.received) == 0 and attempts < 20:
-            propagator.run_once()
+            propagator.pump()
             clock.advance(2.0)  # max_backoff is always enough to retry
             attempts += 1
         assert len(service.received) == 1
@@ -286,11 +286,15 @@ class TestBoundedDedup:
         assert len(window) == 2
 
 
-class TestRunOncePumpParity:
-    """Satellite fix: both drain paths report identical stats for the
-    same workload (they share one accounting path in the metrics layer)."""
+class TestPumpAccounting:
+    """Every message ends forwarded or dead-lettered, and the stats say
+    so exactly (one accounting path, in ``pump``)."""
 
-    def _drive(self, broker, clock, drain):
+    def test_every_message_forwarded_or_dead_lettered(self, clock):
+        from repro.db import Database
+
+        broker = QueueBroker(Database(clock=clock))
+        broker.create_queue("outbox")
         service = FlakyService(failures=5)
         propagator = Propagator(
             broker, "outbox", max_attempts=3, base_backoff=0.1,
@@ -299,24 +303,10 @@ class TestRunOncePumpParity:
         for i in range(20):
             broker.publish("outbox", {"n": i})
         for _ in range(10):
-            drain(propagator)
+            propagator.pump(batch=100)
             clock.advance(10.0)
         assert broker.queue("outbox").depth() == 0
-        return propagator.stats
-
-    def test_same_workload_same_stats(self, clock):
-        from repro.db import Database
-
-        def fresh_broker():
-            broker = QueueBroker(Database(clock=clock))
-            broker.create_queue("outbox")
-            return broker
-
-        single = self._drive(
-            fresh_broker(), clock, lambda p: p.run_once(batch=100)
-        )
-        batched = self._drive(
-            fresh_broker(), clock, lambda p: p.pump(batch=100)
-        )
-        assert single == batched
-        assert single["forwarded"] + single["dead_lettered"] == 20
+        stats = propagator.stats
+        assert stats["forwarded"] == len(service.received)
+        assert stats["dead_lettered"] == broker.queue("dlq").depth()
+        assert stats["forwarded"] + stats["dead_lettered"] == 20
