@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import PubSubError, TopicNotFoundError
+from repro.errors import PubSubError
 from repro.events import KIND_DATA, Event
 from repro.faults import PUBSUB_CONSUMER
 from repro.obs.trace import record_hop
-from repro.pubsub.subscription import Callback, TopicSubscription
-from repro.pubsub.topic import Topic, topic_matches
+from repro.pubsub.subscription import Callback, SubscriptionMatcher, TopicSubscription
+from repro.pubsub.topic import Topic
 from repro.queues.broker import QueueBroker
 from repro.queues.message import Message
+from repro.rules.engine import event_context
+from repro.rules.rule import pattern_matches
 
 if TYPE_CHECKING:
     from repro.db.database import Database
@@ -61,39 +63,38 @@ def _payload_to_event(data: dict[str, Any]) -> Event:
 
 
 class PubSubBroker:
-    """Topics + subscriptions over one database."""
+    """Topics + subscriptions over one database.
+
+    Subscription filters are rules in the predicate index
+    (:class:`SubscriptionMatcher`); a publish evaluates only the
+    candidates the index admits and delivers in subscription
+    registration order, which callbacks can observe.
+    """
 
     def __init__(self, db: Database, *, name: str = "pubsub") -> None:
         self.db = db
         self.name = name
         self.queues = QueueBroker(db, name=f"{name}-queues")
-        self._topics: dict[str, Topic] = {}
-        self._subscriptions: dict[str, TopicSubscription] = {}
+        self._matcher = SubscriptionMatcher()
         self._listeners: dict[str, Callback] = {}
         self.stats = {"published": 0, "delivered": 0, "spooled": 0}
         obs = db.obs
         self._m_published = obs.counter("pubsub.published", broker=name)
         self._m_delivered = obs.counter("pubsub.delivered", broker=name)
         self._m_spooled = obs.counter("pubsub.spooled", broker=name)
+        self._m_filtered_out = obs.counter("pubsub.filtered_out", broker=name)
+        self._m_suppressed = obs.counter("pubsub.suppressed", broker=name)
 
     # -- topics ---------------------------------------------------------------
 
     def create_topic(self, name: str, *, retain: bool = False) -> Topic:
-        name = name.lower()
-        if name in self._topics:
-            raise PubSubError(f"topic {name!r} already exists")
-        topic = Topic(name, retain=retain)
-        self._topics[name] = topic
-        return topic
+        return self._matcher.create_topic(name, retain=retain)
 
     def topic(self, name: str) -> Topic:
-        try:
-            return self._topics[name.lower()]
-        except KeyError:
-            raise TopicNotFoundError(f"topic {name!r} does not exist") from None
+        return self._matcher.topic(name)
 
     def topic_names(self) -> list[str]:
-        return sorted(self._topics)
+        return sorted(self._matcher.topics)
 
     # -- subscriptions ------------------------------------------------------------
 
@@ -113,8 +114,7 @@ class PubSubBroker:
         poll :meth:`fetch`) to consume.  A durable subscriber receives a
         topic's retained event immediately upon subscribing.
         """
-        if subscriber in self._subscriptions:
-            raise PubSubError(f"subscriber {subscriber!r} already registered")
+        self._matcher.check_vacant(subscriber)
         if not durable and callback is None:
             raise PubSubError(
                 "a nondurable subscription needs a callback (it has no queue)"
@@ -131,34 +131,50 @@ class PubSubBroker:
             if not self.queues.has_queue(queue_name):
                 self.queues.create_queue(queue_name)
             subscription.queue_name = queue_name
-        self._subscriptions[subscriber] = subscription
+        self._matcher.add(subscription)
         # Retained state for late durable/callback subscribers.
-        for topic in self._topics.values():
-            if topic.retained is not None and topic_matches(
+        for topic in self._matcher.topics.values():
+            if topic.retained is None or not pattern_matches(
                 subscription.topic_pattern, topic.name
             ):
-                if subscription.accepts(topic.retained):
-                    self._deliver(subscription, topic.name, topic.retained)
+                continue
+            if subscription.rule.compiled_condition(event_context(topic.retained)):
+                self._deliver(subscription, topic.name, topic.retained)
+            else:
+                self._m_filtered_out.inc()
         return subscription
 
     def unsubscribe(self, subscriber: str) -> None:
-        subscription = self._subscriptions.pop(subscriber, None)
-        if subscription is None:
-            raise PubSubError(f"subscriber {subscriber!r} is not registered")
+        self._matcher.remove(subscriber)
         self._listeners.pop(subscriber, None)
 
     def subscription(self, subscriber: str) -> TopicSubscription:
-        try:
-            return self._subscriptions[subscriber]
-        except KeyError:
-            raise PubSubError(
-                f"subscriber {subscriber!r} is not registered"
-            ) from None
+        return self._matcher.subscription(subscriber)
 
     # -- publication ----------------------------------------------------------------
 
+    def interested_consumers(self, topic_name: str, event: Event) -> list[str]:
+        """Subscribe-to-publish (§2.2.c.i.1): who would receive ``event``
+        on this topic, in delivery order?  Delivers nothing."""
+        topic = self.topic(topic_name)
+        return [s.subscriber for s in self._matcher.match(topic.name, event)]
+
+    def publish_lazy(
+        self, topic_name: str, probe: Event, build: Callable[[], Event]
+    ) -> int:
+        """Probe with the cheap attributes filters read; build and
+        publish the full event only if someone is interested.  A skipped
+        build counts in ``pubsub.suppressed``.  Returns deliveries."""
+        if not self.interested_consumers(topic_name, probe):
+            self._m_suppressed.inc()
+            return 0
+        return self.publish(topic_name, build())
+
     def publish(self, topic_name: str, event: Event) -> int:
-        """Publish to a topic; returns the number of deliveries."""
+        """Publish to a topic; returns the number of deliveries.
+
+        Subscriptions receive the event in registration order.
+        """
         topic = self.topic(topic_name)
         topic.record(event)
         self.stats["published"] += 1
@@ -170,15 +186,11 @@ class PubSubBroker:
             broker=self.name,
             topic=topic.name,
         )
-        deliveries = 0
-        for subscription in self._subscriptions.values():
-            if not topic_matches(subscription.topic_pattern, topic.name):
-                continue
-            if not subscription.accepts(event):
-                continue
+        matched = self._matcher.match(topic.name, event)
+        self._m_filtered_out.inc(self._matcher.subscribed(topic.name) - len(matched))
+        for subscription in matched:
             self._deliver(subscription, topic.name, event)
-            deliveries += 1
-        return deliveries
+        return len(matched)
 
     def _deliver(
         self, subscription: TopicSubscription, topic_name: str, event: Event

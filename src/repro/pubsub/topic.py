@@ -26,12 +26,3 @@ class Topic:
         self.published += 1
         if self.retain:
             self.retained = event
-
-
-def topic_matches(pattern: str, topic: str) -> bool:
-    """Topic pattern matching: exact, ``*`` (all), or ``a.b.*`` prefix."""
-    if pattern == "*" or pattern == topic:
-        return True
-    if pattern.endswith(".*"):
-        return topic.startswith(pattern[:-1])
-    return False

@@ -8,15 +8,17 @@
 * :class:`RuleEngine` — evaluates external data (events presented to
   the service, §2.2.c.ii) and internal data (rows in tables, messages
   in queues, §2.2.c.iii).
-* :class:`PubSubRules` — publish/subscribe and *subscribe-to-publish*
-  (§2.2.c.i.1).
+
+Publish/subscribe and subscribe-to-publish (§2.2.c.i.1) are the same
+machinery: :class:`repro.pubsub.PubSubBroker` registers each
+subscription's filter as a :class:`Rule` in a :class:`PredicateIndex`
+and answers ``interested_consumers`` / ``publish_lazy`` from it.
 """
 
 from repro.rules.actions import ActionRegistry, CollectAction, EnqueueAction, NotifyAction
 from repro.rules.engine import EventContext, RuleEngine, RuleMatch
 from repro.rules.index import IntervalTree, PredicateIndex
 from repro.rules.rule import Rule, RuleStore
-from repro.rules.subscribe_to_publish import PubSubRules, Subscription
 
 __all__ = [
     "Rule",
@@ -30,6 +32,4 @@ __all__ = [
     "CollectAction",
     "EnqueueAction",
     "NotifyAction",
-    "PubSubRules",
-    "Subscription",
 ]

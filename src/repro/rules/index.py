@@ -14,7 +14,10 @@ Every rule is **anchored** under one conjunct of its condition:
 
 Anchors are *necessary* conditions, so candidate generation is sound:
 a rule whose anchor does not match cannot match overall (an absent
-attribute is NULL, and NULL comparisons are UNKNOWN).  Candidates then
+attribute is NULL, and NULL comparisons are UNKNOWN).  Probes follow
+``compare_values``: bools are ints; a value that is neither NULL nor
+numeric admits every interval on its column (it orders against numbers
+by type name), and an unhashable one no equality bucket.  Candidates then
 get full condition evaluation, so indexing is also complete — the
 hypothesis test asserts indexed and naive evaluation agree exactly.
 
@@ -120,18 +123,16 @@ class IntervalTree:
         if self.eager or buffered > threshold:
             self.rebuild()
 
+    def intervals(self) -> list[Interval]:
+        """Every live interval, built or still buffered."""
+        tombstones = self._tombstones
+        intervals = [i for i in self._all_built() if i not in tombstones]
+        intervals.extend(i for i in self._pending_add if i not in tombstones)
+        return intervals
+
     def rebuild(self) -> None:
         """Fold buffers into a freshly balanced tree."""
-        intervals = [
-            interval
-            for interval in self._all_built()
-            if interval not in self._tombstones
-        ]
-        intervals.extend(
-            interval
-            for interval in self._pending_add
-            if interval not in self._tombstones
-        )
+        intervals = self.intervals()
         self._pending_add = []
         self._tombstones = set()
         self._root = _build(intervals)
@@ -369,15 +370,26 @@ class PredicateIndex:
             value = context.get(column)
             if value is None:
                 continue
-            bucket = self._equality.get((column, _fold(value)))
+            try:
+                bucket = self._equality.get((column, _fold(value)))
+            except TypeError:
+                # Unhashable (list, dict): no literal can equal it.
+                continue
             if bucket:
                 found.update(bucket)
         for column, tree in self._intervals.items():
             value = context.get(column)
             if value is None:
                 continue
-            for interval in tree.stab(value):
-                found.add(interval.rule_id)
+            if isinstance(value, bool):
+                value = int(value)
+            if isinstance(value, (int, float)):
+                intervals = tree.stab(value)
+            else:
+                # compare_values orders other types against numbers by
+                # type name, so any interval may hold: evaluation decides.
+                intervals = tree.intervals()
+            found.update(interval.rule_id for interval in intervals)
         return [self._rules[rule_id] for rule_id in found if rule_id in self._rules]
 
 

@@ -104,14 +104,17 @@ class Rule:
         )
 
     def matches_event_type(self, event_type: str) -> bool:
-        if self.event_types is None:
-            return True
-        for pattern in self.event_types:
-            if pattern == "*" or pattern == event_type:
-                return True
-            if pattern.endswith(".*") and event_type.startswith(pattern[:-1]):
-                return True
-        return False
+        return self.event_types is None or any(
+            pattern_matches(pattern, event_type) for pattern in self.event_types
+        )
+
+
+def pattern_matches(pattern: str, name: str) -> bool:
+    """Name patterns shared by rule event types and pub/sub topics:
+    exact, ``*`` (all), or ``a.b.*`` (dotted prefix)."""
+    if pattern == "*" or pattern == name:
+        return True
+    return pattern.endswith(".*") and name.startswith(pattern[:-1])
 
 
 class RuleStore:

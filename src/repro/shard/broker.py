@@ -30,7 +30,8 @@ from repro.errors import (
 )
 from repro.events import Event
 from repro.pubsub.broker import _event_to_payload, _payload_to_event
-from repro.pubsub.topic import Topic, topic_matches
+from repro.pubsub.subscription import SubscriptionMatcher, TopicSubscription
+from repro.pubsub.topic import Topic
 from repro.queues.message import Message
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.protocol import message_to_wire, wire_to_consumed
@@ -451,59 +452,41 @@ class ShardedQueueBroker:
 class ShardedPubSubBroker:
     """Topic fan-out in the coordinator, durable spooling on the shards.
 
-    Topic/subscription metadata is tiny coordinator-local state; what
-    must scale — the per-subscriber durable spool traffic — rides
-    :class:`ShardedQueueBroker`, so each ``sub_<name>`` queue lands on
-    the shard its name hashes to and publishes to disjoint subscribers
-    batch per shard.
+    Topics and subscriptions live in the coordinator's
+    :class:`SubscriptionMatcher`, the same one :class:`PubSubBroker`
+    uses; what must scale — the per-subscriber durable spool traffic —
+    rides :class:`ShardedQueueBroker`, so each ``sub_<name>`` queue
+    lands on the shard its name hashes to and publishes to disjoint
+    subscribers batch per shard.
     """
 
     def __init__(self, coordinator: ShardCoordinator, *, name: str = "pubsub") -> None:
         self.name = name
         self.queues = ShardedQueueBroker(coordinator)
-        self._topics: dict[str, Topic] = {}
-        self._subscriptions: dict[str, dict[str, Any]] = {}
+        self._matcher = SubscriptionMatcher()
         self.stats = {"published": 0, "spooled": 0, "delivered": 0}
 
     # -- topics / subscriptions ---------------------------------------------
 
     def create_topic(self, name: str, *, retain: bool = False) -> Topic:
-        name = name.lower()
-        if name in self._topics:
-            raise errors_module.PubSubError(f"topic {name!r} already exists")
-        topic = Topic(name, retain=retain)
-        self._topics[name] = topic
-        return topic
+        return self._matcher.create_topic(name, retain=retain)
 
     def topic(self, name: str) -> Topic:
-        try:
-            return self._topics[name.lower()]
-        except KeyError:
-            raise errors_module.TopicNotFoundError(
-                f"topic {name!r} does not exist"
-            ) from None
+        return self._matcher.topic(name)
 
     def subscribe(self, subscriber: str, topic_pattern: str) -> str:
         """Register a durable subscription; returns its spool queue
         name.  (Nondurable inline callbacks don't cross process
         boundaries — durable spooling is the sharded mode.)"""
-        if subscriber in self._subscriptions:
-            raise errors_module.PubSubError(
-                f"subscriber {subscriber!r} already registered"
-            )
-        queue_name = f"sub_{subscriber.lower()}"
-        self.queues.create_queue(queue_name)
-        self._subscriptions[subscriber] = {
-            "pattern": topic_pattern,
-            "queue": queue_name,
-        }
-        return queue_name
+        self._matcher.check_vacant(subscriber)
+        subscription = TopicSubscription.build(subscriber, topic_pattern, durable=True)
+        subscription.queue_name = f"sub_{subscriber.lower()}"
+        self.queues.create_queue(subscription.queue_name)
+        self._matcher.add(subscription)
+        return subscription.queue_name
 
     def unsubscribe(self, subscriber: str) -> None:
-        if self._subscriptions.pop(subscriber, None) is None:
-            raise errors_module.PubSubError(
-                f"subscriber {subscriber!r} is not registered"
-            )
+        self._matcher.remove(subscriber)
 
     # -- publish ------------------------------------------------------------
 
@@ -513,20 +496,20 @@ class ShardedPubSubBroker:
     def publish_events(self, topic_name: str, events: list[Event]) -> int:
         """Fan a batch of events out to every matching durable spool —
         grouped so each worker sees one frame per spool queue, shipped
-        as one pipelined scatter across shards."""
+        as one pipelined scatter across shards.  Each event reaches its
+        subscribers in registration order."""
         topic = self.topic(topic_name)
         entries: list[tuple[str, Message]] = []
         for event in events:
             topic.record(event)
             self.stats["published"] += 1
-            for info in self._subscriptions.values():
-                if topic_matches(info["pattern"], topic.name):
-                    entries.append(
-                        (
-                            info["queue"],
-                            Message(payload=_event_to_payload(topic.name, event)),
-                        )
-                    )
+            entries.extend(
+                (
+                    subscription.queue_name,
+                    Message(payload=_event_to_payload(topic.name, event)),
+                )
+                for subscription in self._matcher.match(topic.name, event)
+            )
         if entries:
             self.queues.publish_many(entries, principal="internal")
             self.stats["spooled"] += len(entries)
@@ -535,12 +518,7 @@ class ShardedPubSubBroker:
     # -- consume ------------------------------------------------------------
 
     def _spool(self, subscriber: str) -> str:
-        try:
-            return self._subscriptions[subscriber]["queue"]
-        except KeyError:
-            raise errors_module.PubSubError(
-                f"subscriber {subscriber!r} is not registered"
-            ) from None
+        return self._matcher.subscription(subscriber).queue_name
 
     def fetch(self, subscriber: str) -> Event | None:
         queue_name = self._spool(subscriber)

@@ -36,11 +36,23 @@ def condition_texts(draw):
     return connector.join(parts)
 
 
+# b and c also carry values of the "wrong" type (bool and text on the
+# range-anchored b, ints on the equality-anchored c): the evaluator
+# orders them through compare_values and the index must agree.
 contexts = st.fixed_dictionaries(
     {
         "a": st.one_of(st.none(), st.integers(0, 25)),
-        "b": st.one_of(st.none(), st.floats(0, 100, allow_nan=False)),
-        "c": st.one_of(st.none(), st.sampled_from([f"k{i}" for i in range(10)])),
+        "b": st.one_of(
+            st.none(),
+            st.floats(0, 100, allow_nan=False),
+            st.booleans(),
+            st.sampled_from(["", "k1", "zz"]),
+        ),
+        "c": st.one_of(
+            st.none(),
+            st.sampled_from([f"k{i}" for i in range(10)]),
+            st.integers(0, 9),
+        ),
     }
 )
 

@@ -1,8 +1,8 @@
-"""Rule engine: evaluation modes, actions, internal data, pub/sub."""
+"""Rule engine: evaluation modes, actions, internal data."""
 
 import pytest
 
-from repro.errors import PubSubError, RuleError, RuleNotFoundError
+from repro.errors import RuleError, RuleNotFoundError
 from repro.events import Event
 from repro.queues import QueueBroker
 from repro.rules import (
@@ -10,7 +10,6 @@ from repro.rules import (
     CollectAction,
     EnqueueAction,
     NotifyAction,
-    PubSubRules,
     Rule,
     RuleEngine,
 )
@@ -149,66 +148,3 @@ class TestActions:
         engine.evaluate(tick())
         assert received == ["r"]
 
-
-class TestPubSubRules:
-    def test_content_based_delivery(self):
-        pubsub = PubSubRules()
-        inbox_a, inbox_b = [], []
-        pubsub.subscribe("a", "symbol = 'IBM'", inbox_a.append)
-        pubsub.subscribe("b", "price > 1000", inbox_b.append)
-        count = pubsub.publish(tick(price=50))
-        assert count == 1
-        assert len(inbox_a) == 1 and inbox_b == []
-
-    def test_duplicate_subscriber_rejected(self):
-        pubsub = PubSubRules()
-        pubsub.subscribe("a", "TRUE", lambda e: None)
-        with pytest.raises(PubSubError):
-            pubsub.subscribe("a", "TRUE", lambda e: None)
-
-    def test_unsubscribe_stops_delivery(self):
-        pubsub = PubSubRules()
-        inbox = []
-        pubsub.subscribe("a", "TRUE", inbox.append)
-        pubsub.unsubscribe("a")
-        pubsub.publish(tick())
-        assert inbox == []
-
-    def test_interested_consumers_no_delivery(self):
-        pubsub = PubSubRules()
-        inbox = []
-        pubsub.subscribe("a", "price > 10", inbox.append)
-        interested = pubsub.interested_consumers(tick(price=20))
-        assert interested == ["a"]
-        assert inbox == []
-
-    def test_publish_lazy_skips_build_when_no_interest(self):
-        pubsub = PubSubRules()
-        pubsub.subscribe("a", "price > 1000", lambda e: None)
-
-        def exploding_build():
-            raise AssertionError("should not be built")
-
-        delivered = pubsub.publish_lazy(
-            "tick", 1.0, {"price": 5}, exploding_build
-        )
-        assert delivered == 0
-        assert pubsub.stats["suppressed"] == 1
-
-    def test_publish_lazy_builds_when_interested(self):
-        pubsub = PubSubRules()
-        inbox = []
-        pubsub.subscribe("a", "price > 10", inbox.append)
-        delivered = pubsub.publish_lazy(
-            "tick", 1.0, {"price": 50},
-            lambda: Event("tick", 1.0, {"price": 50, "heavy": "blob"}),
-        )
-        assert delivered == 1
-        assert inbox[0]["heavy"] == "blob"
-
-    def test_delivery_counters(self):
-        pubsub = PubSubRules()
-        pubsub.subscribe("a", "TRUE", lambda e: None)
-        pubsub.publish(tick())
-        pubsub.publish(tick())
-        assert pubsub.stats == {"published": 2, "delivered": 2, "suppressed": 0}

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.rules import IntervalTree, PredicateIndex, Rule
+from repro.events import Event
+from repro.rules import IntervalTree, PredicateIndex, Rule, RuleEngine
 from repro.rules.index import Interval
 
 
@@ -123,6 +124,33 @@ class TestAnchoring:
         index.add(Rule.from_text("r", "price > 10"))
         # Event without price: NULL comparison could never match.
         assert index.candidates({"qty": 5}) == []
+
+
+class TestValueClasses:
+    """Anchors probe the way ``compare_values`` compares, so indexed and
+    naive evaluation agree on every value class."""
+
+    @staticmethod
+    def matched(mode, condition, value):
+        engine = RuleEngine(mode=mode)
+        engine.add("r", condition)
+        event = Event("e", 0.0, {"v": value})
+        return [m.rule.rule_id for m in engine.evaluate(event, run_actions=False)]
+
+    @pytest.mark.parametrize("condition,value", [
+        ("v > 5", "abc"),
+        ("v > 0", True),
+        ("v BETWEEN 0 AND 2", True),
+        ("v > 5", [1, 2]),
+    ])
+    def test_range_anchor_admits_bool_and_non_numeric(self, condition, value):
+        assert self.matched("indexed", condition, value) == ["r"]
+        assert self.matched("naive", condition, value) == ["r"]
+
+    @pytest.mark.parametrize("value", [[1, 2], {"a": 1}])
+    def test_unhashable_value_probes_no_equality_bucket(self, value):
+        assert self.matched("indexed", "v = 3", value) == []
+        assert self.matched("naive", "v = 3", value) == []
 
 
 class TestSoundnessAgainstNaive:

@@ -88,7 +88,7 @@ class TestDurableSubscriptionFilters:
         broker.publish("t", Event("e", 0.0, {"sev": 1}))
         broker.publish("t", Event("e", 1.0, {"sev": 5}))
         assert broker.backlog("archive") == 1
-        assert broker.subscription("archive").filtered_out == 1
+        assert db.obs.counter("pubsub.filtered_out", broker="pubsub").value == 1
 
 
 class TestQueueExpirationEdge:
