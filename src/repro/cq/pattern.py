@@ -34,22 +34,65 @@ Event-selection strategies:
 EXP-6 — lets the matcher *prune* runs that can no longer complete.
 ``prune_expired=False`` disables that pruning (the ablation arm) and
 lets dead runs accumulate.
+
+**The run store.**  An event only reaches the live runs that can
+consume or kill it (SASE's partitioned active runs).  Runs are stored
+by (step position, correlation value).  A step is *keyed* when every
+condition that can consume or kill a run waiting there — the element,
+its negation guards and, for a non-final Kleene step, the next step's
+element and guards — shares one top-level conjunct ``col = <binding>``:
+``col`` a payload attribute no element can bind, other than
+``event_type`` / ``timestamp`` / ``kind``; ``<binding>`` an earlier
+element's ``<name>_<field>``, or the step's own for a Kleene step.
+Other steps, and every step under ``"strict"`` (any event can kill a
+run there), keep one bucket that every event probes.  On a keyed step
+an event probes the bucket of its ``col`` value, folded as the
+predicate index folds (:func:`repro.db.types.equality_key`): NULL or
+absent probes none, str / int / float / bool probe their own bucket,
+and any other value — or a payload that carries ``<binding>`` itself,
+shadowing the runs' bindings — probes every bucket of the step.  A run
+whose binding is NULL sits in a bucket no value probes (``= NULL`` is
+UNKNOWN).  NaN is a hole, as in the predicate index: ``compare_values``
+calls it equal to every number, and no bucket does.  Expired runs leave
+through a min-heap on start time, not a scan.  The store changes which
+runs an event visits, never what a visit does, so matches and ``stats``
+are those of visiting every run (``tests/reference/pattern_scan.py``);
+an evaluation error can only come from a run the event can reach.
+
+**Consistency.**  The matcher consumes events in arrival order and
+never compensates: a late event is matched where it arrives, and a
+retraction is refused — not forwarded, not folded in — and counted in
+``unsupported_retractions`` (``cq.unsupported_retraction``).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from operator import attrgetter
+from typing import Any, Hashable, Iterator
 
 from repro.cq.stream import Operator, Stream
-from repro.db.expr import Expression, compile_predicate
+from repro.db.expr import BinaryOp, ColumnRef, Expression, compile_predicate, conjuncts
 from repro.db.sql.parser import parse_expression
+from repro.db.types import equality_key
 from repro.errors import PatternError
 from repro.events import Event, correlate
+from repro.obs.metrics import NULL_COUNTER
 from repro.rules.engine import EventContext
 
 _SELECTION_MODES = ("strict", "skip_till_next", "skip_till_any")
+
+#: Context names the matcher's own context fills when the payload lacks
+#: them, so they cannot partition runs.
+_RESERVED = frozenset({"event_type", "timestamp", "kind"})
+
+#: Bucket key for values outside the folded classes (and the probe that
+#: takes every bucket): only an every-bucket probe reaches those runs.
+_OTHER = object()
+
+_BY_CREATION = attrgetter("run_id")
 
 
 @dataclass
@@ -135,6 +178,7 @@ class _Run:
     bindings: dict[str, Any] = field(default_factory=dict)
     matched: list[Event] = field(default_factory=list)
     run_id: int = field(default_factory=itertools.count(1).__next__)
+    key: Hashable = None  # its bucket at ``position`` while stored
 
     def fork(self) -> "_Run":
         return _Run(
@@ -145,9 +189,76 @@ class _Run:
         )
 
 
+def _bucket_key(value: Any) -> Hashable:
+    """The bucket a correlation value belongs to: the folded value for
+    str / int / float / bool, ``_OTHER`` for any other non-NULL value,
+    None for NULL (no value probes it)."""
+    if value is None:
+        return None
+    if isinstance(value, (str, int, float)):
+        return equality_key(value)
+    return _OTHER
+
+
+def _correlation_keys(
+    pattern: Seq, steps: list[_Step], selection: str
+) -> list[tuple[str, str] | None]:
+    """Per step, the ``(col, binding)`` conjunct shared by every
+    condition that can consume or kill a run waiting there, or None."""
+    if selection == "strict":
+        return [None] * len(steps)
+    every_prefix = tuple(f"{element.name}_" for element in pattern.elements)
+    keys: list[tuple[str, str] | None] = []
+    for position, step in enumerate(steps):
+        gates = [step.element, *step.guards]
+        if step.element.kleene and position + 1 < len(steps):
+            following = steps[position + 1]
+            gates += [following.element, *following.guards]
+        bound = steps[: position + 1] if step.element.kleene else steps[:position]
+        bindable = tuple(f"{earlier.element.name}_" for earlier in bound)
+        shared: set[tuple[str, str]] | None = None
+        for gate in gates:
+            found = set(_correlations(gate.condition, bindable, every_prefix))
+            shared = found if shared is None else shared & found
+        keys.append(min(shared) if shared else None)
+    return keys
+
+
+def _correlations(
+    condition: Expression | None,
+    bindable: tuple[str, ...],
+    every_prefix: tuple[str, ...],
+) -> Iterator[tuple[str, str]]:
+    """Top-level ``col = <binding>`` conjuncts of one condition."""
+    if condition is None:
+        return
+    for part in conjuncts(condition):
+        if not (isinstance(part, BinaryOp) and part.op == "="):
+            continue
+        left, right = part.left, part.right
+        if not (isinstance(left, ColumnRef) and isinstance(right, ColumnRef)):
+            continue
+        if left.qualifier or right.qualifier:
+            continue
+        for column, binding in ((left.name, right.name), (right.name, left.name)):
+            if (
+                binding.startswith(bindable)
+                and not column.startswith(every_prefix)
+                and column not in _RESERVED
+                and binding not in _RESERVED
+            ):
+                yield column, binding
+
+
 class PatternMatcher(Operator):
     """Matches a :class:`Seq` against a stream; emits one composite
-    event per complete match."""
+    event per complete match.
+
+    The runs one event completes emit in the creation order of the runs
+    it reaches (a fork completing on the event emits with the run it
+    came from), then the run the event itself starts.  ``max_runs``
+    caps the live runs by dropping the newest-created first.
+    """
 
     def __init__(
         self,
@@ -169,7 +280,16 @@ class PatternMatcher(Operator):
         self.selection = selection
         self.prune_expired = prune_expired
         self.max_runs = max_runs
-        self._runs: list[_Run] = []
+        self._keys = _correlation_keys(pattern, self.steps, selection)
+        # Per step: bucket key -> {run_id: run}.
+        self._buckets: list[dict[Hashable, dict[int, _Run]]] = [
+            {} for _ in self.steps
+        ]
+        self._runs: dict[int, _Run] = {}  # every live run, in creation order
+        self._prunes = prune_expired and pattern.within is not None
+        self._expiry: list[tuple[float, int]] = []  # (start_ts, run_id) heap
+        self.unsupported_retractions = 0
+        self._m_unsupported = NULL_COUNTER
         self.stats = {
             "matches": 0,
             "runs_created": 0,
@@ -182,6 +302,22 @@ class PatternMatcher(Operator):
     def active_runs(self) -> int:
         return len(self._runs)
 
+    def bind_metrics(self, metrics: Any) -> "PatternMatcher":
+        super().bind_metrics(metrics)
+        self._m_unsupported = metrics.counter(
+            "cq.unsupported_retraction", stream=self.name
+        )
+        if self.unsupported_retractions:
+            self._m_unsupported.inc(self.unsupported_retractions)
+        return self
+
+    def on_retraction(self, event: Event) -> None:
+        """Refuse a retraction: the matcher cannot compensate the
+        matches or runs the retracted event fed, so it neither forwards
+        the retraction as if it were output nor folds it in."""
+        self.unsupported_retractions += 1
+        self._m_unsupported.inc()
+
     def _bind(self, run: _Run, element: PatternElement, event: Event) -> None:
         prefix = f"{element.name}_"
         for key, value in event.payload.items():
@@ -193,37 +329,105 @@ class PatternMatcher(Operator):
         run.matched.append(event)
 
     def process(self, event: Event) -> None:
-        within = self.pattern.within
+        timestamp = event.timestamp
+        if self._prunes:
+            self._expire(timestamp)
 
-        if self.prune_expired and within is not None:
-            live: list[_Run] = []
-            for run in self._runs:
-                if event.timestamp - run.start_ts > within:
-                    self.stats["runs_pruned"] += 1
-                else:
-                    live.append(run)
-            self._runs = live
-
-        survivors: list[_Run] = []
-        for run in self._runs:
+        runs = self._runs
+        for run in self._take_reachable(event):
             alive, completed = self._advance(run, event)
             for done in completed:
-                self._emit_match(done, event.timestamp)
-            survivors.extend(alive)
+                self._emit_match(done, timestamp)
+            kept = False
+            for live in alive:
+                if live is run:
+                    kept = True
+                    self._place(run)
+                else:
+                    self._admit(live)  # a fork
+            if not kept:
+                del runs[run.run_id]
 
         # Every event may start a fresh run at step 0.
-        seed = _Run(position=0, start_ts=event.timestamp)
+        seed = _Run(position=0, start_ts=timestamp)
         alive, completed = self._advance(seed, event)
         for done in completed:
             self.stats["runs_created"] += 1
-            self._emit_match(done, event.timestamp)
+            self._emit_match(done, timestamp)
         for run in alive:
             if run.matched:  # Idle seeds (no first match) are not kept.
                 self.stats["runs_created"] += 1
-                survivors.append(run)
+                self._admit(run)
 
-        self._runs = survivors[: self.max_runs]
-        self.stats["peak_runs"] = max(self.stats["peak_runs"], len(self._runs))
+        while len(runs) > self.max_runs:
+            self._unplace(runs.popitem()[1])
+        self.stats["peak_runs"] = max(self.stats["peak_runs"], len(runs))
+
+    def _expire(self, now: float) -> None:
+        """Drop every run that started more than WITHIN before ``now``."""
+        heap, runs, within = self._expiry, self._runs, self.pattern.within
+        while heap and now - heap[0][0] > within:
+            run = runs.pop(heapq.heappop(heap)[1], None)
+            if run is not None:  # else it already died: a stale entry
+                self._unplace(run)
+                self.stats["runs_pruned"] += 1
+
+    def _take_reachable(self, event: Event) -> list[_Run]:
+        """Remove from the buckets, and return in creation order, every
+        run whose step's conditions the event could satisfy."""
+        payload = event.payload
+        reached: list[_Run] = []
+        for correlation, buckets in zip(self._keys, self._buckets):
+            if not buckets:
+                continue
+            if correlation is not None:
+                column, binding = correlation
+                key = _OTHER if binding in payload else _bucket_key(payload.get(column))
+                if key is None:
+                    continue
+                if key is not _OTHER:
+                    bucket = buckets.pop(key, None)
+                    if bucket is not None:
+                        reached.extend(bucket.values())
+                    continue
+            for bucket in buckets.values():
+                reached.extend(bucket.values())
+            buckets.clear()
+        reached.sort(key=_BY_CREATION)
+        return reached
+
+    def _admit(self, run: _Run) -> None:
+        """Store a newly created run."""
+        self._runs[run.run_id] = run
+        if self._prunes:
+            heap = self._expiry
+            heapq.heappush(heap, (run.start_ts, run.run_id))
+            if len(heap) > 2 * len(self._runs) + 64:
+                # Entries of runs that died some other way outnumber the
+                # live runs: rebuild so the heap stays O(live runs).
+                heap[:] = [(live.start_ts, live.run_id) for live in self._runs.values()]
+                heapq.heapify(heap)
+        self._place(run)
+
+    def _place(self, run: _Run) -> None:
+        """File a live run under its current step and binding."""
+        correlation = self._keys[run.position]
+        key = None
+        if correlation is not None:
+            key = _bucket_key(run.bindings.get(correlation[1]))
+        run.key = key
+        buckets = self._buckets[run.position]
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = {}
+        bucket[run.run_id] = run
+
+    def _unplace(self, run: _Run) -> None:
+        buckets = self._buckets[run.position]
+        bucket = buckets[run.key]
+        del bucket[run.run_id]
+        if not bucket:
+            del buckets[run.key]
 
     def _advance(self, run: _Run, event: Event) -> tuple[list[_Run], list[_Run]]:
         """Feed one event to one run.

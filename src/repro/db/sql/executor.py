@@ -53,6 +53,7 @@ from repro.db.sql.ast import (
     Update,
 )
 from repro.db.sql.planner import plan_access
+from repro.db.types import equality_key
 from repro.errors import DatabaseError, ExpressionError, SqlSyntaxError
 
 if TYPE_CHECKING:
@@ -453,13 +454,13 @@ def _apply_join(
         for row in right_rows:
             key = row.get(right_key)
             if key is not None:
-                buckets.setdefault(_hash_fold(key), []).append(row)
+                buckets.setdefault(equality_key(key), []).append(row)
         for left in left_rows:
             try:
                 key = left_key_fn(left)
             except ExpressionError:
                 key = None
-            matches = buckets.get(_hash_fold(key), []) if key is not None else []
+            matches = buckets.get(equality_key(key), []) if key is not None else []
             emitted = False
             for right in matches:
                 merged = _merge_join_row(left, right)
@@ -495,14 +496,6 @@ def _merge_join_row(
 def _null_row(table: Any, alias: str) -> dict[str, Any]:
     row = {name: None for name in table.schema.column_names}
     return _qualify(row, alias)
-
-
-def _hash_fold(key: Any) -> Any:
-    if isinstance(key, bool):
-        return int(key)
-    if isinstance(key, float) and key.is_integer():
-        return int(key)
-    return key
 
 
 def _equi_join_columns(
@@ -676,7 +669,7 @@ def _run_vectorized(
     if k == 0:
         return _finalize_groups(stmt, [])  # No rows -> no groups.
 
-    # Dense per-key codes (0 = NULL, like the row path's _hash_fold
+    # Dense per-key codes (0 = NULL, like the row path's equality_key
     # tuple keys: equal raw values get equal codes within one column).
     code_arrays = []
     for flavor, payload in key_extractors:
@@ -929,7 +922,7 @@ def _compute_aggregate(
         unique: list[Any] = []
         seen: set[Any] = set()
         for value in values:
-            folded = _hash_fold(value)
+            folded = equality_key(value)
             if folded not in seen:
                 seen.add(folded)
                 unique.append(value)
@@ -1001,7 +994,7 @@ def _execute_grouped(
     if stmt.group_by:
         key_fns = [compile_expression(expression) for expression in stmt.group_by]
         for row in source_rows:
-            key = tuple(_hash_fold(key_fn(row)) for key_fn in key_fns)
+            key = tuple(equality_key(key_fn(row)) for key_fn in key_fns)
             groups.setdefault(key, []).append(row)
     else:
         groups[()] = source_rows  # One global group (possibly empty).

@@ -193,3 +193,19 @@ def compare_values(left: Any, right: Any) -> int:
             pass
     left_key, right_key = type(left).__name__, type(right).__name__
     return (left_key > right_key) - (left_key < right_key)
+
+
+def equality_key(value: Any) -> Any:
+    """Fold a value for hash buckets that stand in for SQL ``=``.
+
+    ``1``, ``1.0`` and ``True`` are equal under :func:`compare_values`,
+    so bools and integral floats fold to ``int``; other values are
+    returned as they are (still unhashable if they were).  NaN keeps its
+    own identity although ``compare_values`` calls it equal to every
+    number: hash buckets cannot reproduce that, and callers say so.
+    """
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value

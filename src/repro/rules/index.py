@@ -33,17 +33,9 @@ from dataclasses import dataclass
 from typing import Any, Hashable, Iterator
 
 from repro.db.expr import conjuncts
+from repro.db.types import equality_key
 from repro.errors import ExpressionError
 from repro.rules.rule import Rule
-
-
-def _fold(value: Any) -> Hashable:
-    """Normalize for bucket keys (1 == 1.0 == True in SQL equality)."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -282,7 +274,7 @@ class PredicateIndex:
             return
         kind, column, detail = anchor
         if kind == "eq":
-            key = (column, _fold(detail))
+            key = (column, equality_key(detail))
             self._equality.setdefault(key, set()).add(rule.rule_id)
             self._equality_anchor[rule.rule_id] = key
             self._equality_columns[column] = (
@@ -371,7 +363,7 @@ class PredicateIndex:
             if value is None:
                 continue
             try:
-                bucket = self._equality.get((column, _fold(value)))
+                bucket = self._equality.get((column, equality_key(value)))
             except TypeError:
                 # Unhashable (list, dict): no literal can equal it.
                 continue

@@ -5,6 +5,7 @@ import pytest
 from repro.cq import Kleene, PatternElement, PatternMatcher, Seq, Stream
 from repro.errors import PatternError
 from repro.events import Event
+from repro.obs.metrics import MetricsRegistry
 
 
 def run(pattern, events, *, selection="skip_till_next", prune=True,
@@ -215,6 +216,46 @@ class TestWithinAndPruning:
         _u, matches_unpruned = run(ab_pattern(within=10.0), events, prune=False)
         key = lambda m: (m["a_timestamp"], m["b_timestamp"])
         assert sorted(map(key, matches_pruned)) == sorted(map(key, matches_unpruned))
+
+
+class TestEmissionOrder:
+    def test_matches_one_event_completes_emit_in_run_creation_order(self):
+        pattern = Seq(
+            PatternElement("a", "tick", "kind = 'A'"),
+            PatternElement("b", "tick", "kind = 'B' AND id = a_id"),
+            PatternElement("c", "tick", "kind = 'C' AND tag = a_tag"),
+        )
+        # The newer run reaches step c first; one C completes both.
+        _m, matches = run(pattern, [
+            (1, {"kind": "A", "id": 1, "tag": 7}),
+            (2, {"kind": "A", "id": 2, "tag": 7}),
+            (3, {"kind": "B", "id": 2}), (4, {"kind": "B", "id": 1}),
+            (5, {"kind": "C", "tag": 7}),
+        ])
+        assert [m["a_id"] for m in matches] == [1, 2]
+
+
+class TestRetractions:
+    def test_retraction_is_refused_and_counted(self):
+        """A retraction is neither forwarded onto the match stream nor
+        folded in; the refusal is counted, locally and in the registry."""
+        registry = MetricsRegistry()
+        source = Stream("s")
+        matcher = PatternMatcher(
+            source, ab_pattern(), output_type="ab", name="p"
+        ).bind_metrics(registry)
+        out = []
+        matcher.subscribe(out.append)
+        a = Event("tick", 1.0, {"kind": "A"})
+        source.push(a)
+        source.push(a.to_retraction())
+        source.push(Event("tick", 2.0, {"kind": "B"}))
+        source.punctuate(5.0)  # punctuation still forwards
+        assert [e.kind for e in out] == ["data", "punctuation"]
+        assert out[0].event_type == "ab"
+        assert matcher.unsupported_retractions == 1
+        counters = registry.snapshot()["counters"]
+        assert counters["cq.unsupported_retraction{stream=p}"] == 1
 
 
 class TestValidation:
