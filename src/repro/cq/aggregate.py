@@ -28,7 +28,7 @@ from repro.cq.stream import Operator, Stream
 from repro.cq.window import PANE_EVENT_TYPE, WindowPane
 from repro.errors import StreamError
 from repro.events import KIND_RETRACTION, Event
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import UNPUBLISHED, Counter, MetricsRegistry
 
 
 class AggregateFunction:
@@ -464,7 +464,7 @@ class WindowAggregate(Operator):
         *,
         name: str | None = None,
         recompute: bool = False,
-        metrics: Any = None,
+        metrics: MetricsRegistry = UNPUBLISHED,
     ) -> None:
         super().__init__(name or f"aggregate({output_type})", upstream)
         self.output_type = output_type
@@ -479,21 +479,10 @@ class WindowAggregate(Operator):
         # Panes first observed mid-fill (operator attached late): their
         # delta state would be partial, so they refold at close.
         self._partial: set[int] = set()
-        self.retractions_emitted = 0
-        self._m_deltas = NULL_COUNTER
-        self._m_refolds = NULL_COUNTER
-        self._m_retractions = NULL_COUNTER
-        if metrics is not None:
-            self.bind_metrics(metrics)
-            self._m_deltas = metrics.counter(
-                "cq.agg.deltas_applied", stream=self.name
-            )
-            self._m_refolds = metrics.counter(
-                "cq.agg.refolds", stream=self.name
-            )
-            self._m_retractions = metrics.counter(
-                "cq.agg.retractions_emitted", stream=self.name
-            )
+        self._m_deltas = Counter()
+        self._m_refolds = Counter()
+        self._m_retractions = Counter()
+        self.bind_metrics(metrics)
         if not self.recompute:
             attach = getattr(upstream, "attach_pane_observer", None)
             if attach is not None:
@@ -504,6 +493,23 @@ class WindowAggregate(Operator):
         retire = getattr(upstream, "attach_pane_retire_observer", None)
         if retire is not None:
             retire(self._on_retire)
+
+    @property
+    def retractions_emitted(self) -> int:
+        return self._m_retractions.value
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> "WindowAggregate":
+        super().bind_metrics(metrics)
+        self._m_deltas = metrics.adopt(
+            self._m_deltas, "cq.agg.deltas_applied", stream=self.name
+        )
+        self._m_refolds = metrics.adopt(
+            self._m_refolds, "cq.agg.refolds", stream=self.name
+        )
+        self._m_retractions = metrics.adopt(
+            self._m_retractions, "cq.agg.retractions_emitted", stream=self.name
+        )
+        return self
 
     # -- delta path ----------------------------------------------------------
 
@@ -614,7 +620,6 @@ class WindowAggregate(Operator):
         payload = self._summarize(
             pane, state, start=event["start"], end=event["end"]
         )
-        self.retractions_emitted += 1
         self._m_retractions.inc()
         self.emit(
             Event(

@@ -40,7 +40,7 @@ from repro.cq.stream import Stream
 from repro.db.expr import ColumnRef, Expression, Literal, compile_delta_update
 from repro.errors import StreamError
 from repro.events import KIND_PUNCTUATION, KIND_RETRACTION, Event
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import UNPUBLISHED, Counter, MetricsRegistry
 
 #: Event type emitted on a view's opt-in :meth:`MaterializedView.changes`
 #: stream: one retraction of the group's previous result followed by the
@@ -97,7 +97,7 @@ class MaterializedView:
         key_field: str | None = None,
         predicate: Expression | None = None,
         recompute: bool = False,
-        metrics: Any = None,
+        metrics: MetricsRegistry = UNPUBLISHED,
     ) -> None:
         if not spec:
             raise StreamError(f"view {name!r} needs at least one aggregate")
@@ -133,10 +133,6 @@ class MaterializedView:
         self._group_rows: dict[Any, int] = {}
         # Retained mode: group key -> list of extracted value dicts.
         self._retained: dict[Any, list[dict[str, Any]]] = {}
-        self._deltas_applied = 0
-        self._batches_folded = 0
-        self._refolds = 0
-        self._retractions_applied = 0
         self._changes: Stream | None = None
         self._version = 0
         self._last_lsn: int | None = None
@@ -145,19 +141,19 @@ class MaterializedView:
         self._table: str | None = None
         self._stream_buffer: list[Event] = []
         self._batch_size = 1
-        self._m_deltas = NULL_COUNTER
-        self._m_batches = NULL_COUNTER
-        self._m_refolds = NULL_COUNTER
-        self._m_retractions = NULL_COUNTER
-        if metrics is not None:
-            self.bind_metrics(metrics)
+        self._m_deltas = Counter()
+        self._m_batches = Counter()
+        self._m_refolds = Counter()
+        self._m_retractions = Counter()
+        self.bind_metrics(metrics)
 
-    def bind_metrics(self, metrics: Any) -> "MaterializedView":
-        self._m_deltas = metrics.counter("view.deltas_applied", view=self.name)
-        self._m_batches = metrics.counter("view.batches_folded", view=self.name)
-        self._m_refolds = metrics.counter("view.refolds", view=self.name)
-        self._m_retractions = metrics.counter(
-            "view.retractions_applied", view=self.name
+    def bind_metrics(self, metrics: MetricsRegistry) -> "MaterializedView":
+        adopt, view = metrics.adopt, self.name
+        self._m_deltas = adopt(self._m_deltas, "view.deltas_applied", view=view)
+        self._m_batches = adopt(self._m_batches, "view.batches_folded", view=view)
+        self._m_refolds = adopt(self._m_refolds, "view.refolds", view=view)
+        self._m_retractions = adopt(
+            self._m_retractions, "view.retractions_applied", view=view
         )
         return self
 
@@ -203,9 +199,7 @@ class MaterializedView:
         if snapshot is not None:
             applied = self._apply_insert_batch(snapshot)
             if applied:
-                self._deltas_applied += applied
                 self._m_deltas.inc(applied)
-                self._batches_folded += 1
                 self._m_batches.inc()
                 self._version += 1
         self._reader = db.journal_reader(start_lsn)
@@ -251,9 +245,7 @@ class MaterializedView:
             applied += 1
         flush_inserts()
         if applied:
-            self._deltas_applied += applied
             self._m_deltas.inc(applied)
-            self._batches_folded += 1
             self._m_batches.inc()
             self._version += 1
 
@@ -332,7 +324,6 @@ class MaterializedView:
                 flush_inserts()
                 if self._apply(row, -1):
                     applied += 1
-                    self._retractions_applied += 1
                     self._m_retractions.inc()
             else:
                 inserts.append(row)
@@ -343,9 +334,7 @@ class MaterializedView:
                 self._last_timestamp = event.timestamp
         flush_inserts()
         if applied:
-            self._deltas_applied += applied
             self._m_deltas.inc(applied)
-        self._batches_folded += 1
         self._m_batches.inc()
         self._version += 1
         if old_results is not None:
@@ -537,18 +526,17 @@ class MaterializedView:
                 for key, rows in self._retained.items()
             }
             if groups:
-                self._refolds += len(groups)
                 self._m_refolds.inc(len(groups))
         return ViewSnapshot(
             name=self.name,
             groups=groups,
             last_lsn=self._last_lsn,
             last_timestamp=self._last_timestamp,
-            deltas_applied=self._deltas_applied,
-            batches_folded=self._batches_folded,
-            refolds=self._refolds,
+            deltas_applied=self._m_deltas.value,
+            batches_folded=self._m_batches.value,
+            refolds=self._m_refolds.value,
             version=self._version,
-            retractions_applied=self._retractions_applied,
+            retractions_applied=self._m_retractions.value,
         )
 
     def group(self, key: Any = None) -> dict[str, Any] | None:
@@ -561,7 +549,6 @@ class MaterializedView:
         rows = self._retained.get(key)
         if rows is None:
             return None
-        self._refolds += 1
         self._m_refolds.inc()
         return self._refold_group(rows)
 

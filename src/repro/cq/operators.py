@@ -16,7 +16,7 @@ from repro.events import (
     correlate,
     punctuation,
 )
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.rules.engine import EventContext
 
 
@@ -139,19 +139,20 @@ class StreamJoin(Stream):
         self._left_watermark = float("-inf")
         self._right_watermark = float("-inf")
         self._out_watermark = float("-inf")
-        self.null_key_dropped = 0
         self.retractions_dropped = 0
-        self._m_null_key = NULL_COUNTER
+        self._m_null_key = Counter()
         left.subscribe(self._on_left)
         right.subscribe(self._on_right)
 
-    def bind_metrics(self, metrics: Any) -> "StreamJoin":
+    @property
+    def null_key_dropped(self) -> int:
+        return self._m_null_key.value
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> "StreamJoin":
         super().bind_metrics(metrics)
-        self._m_null_key = metrics.counter(
-            "cq.null_key_dropped", stream=self.name
+        self._m_null_key = metrics.adopt(
+            self._m_null_key, "cq.null_key_dropped", stream=self.name
         )
-        if self.null_key_dropped:
-            self._m_null_key.inc(self.null_key_dropped)
         return self
 
     @property
@@ -178,7 +179,6 @@ class StreamJoin(Stream):
         *,
         left_side: bool,
     ) -> None:
-        self.events_in += 1
         self._m_in.inc()
         if event.kind == KIND_PUNCTUATION:
             self._advance(
@@ -194,7 +194,6 @@ class StreamJoin(Stream):
             return
         key = event.get(self.key_field)
         if key is None:
-            self.null_key_dropped += 1
             self._m_null_key.inc()
             return
         self._advance(event.timestamp, left_side=left_side)

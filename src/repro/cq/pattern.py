@@ -79,7 +79,7 @@ from repro.db.sql.parser import parse_expression
 from repro.db.types import equality_key
 from repro.errors import PatternError
 from repro.events import Event, correlate
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.rules.engine import EventContext
 
 _SELECTION_MODES = ("strict", "skip_till_next", "skip_till_any")
@@ -288,8 +288,7 @@ class PatternMatcher(Operator):
         self._runs: dict[int, _Run] = {}  # every live run, in creation order
         self._prunes = prune_expired and pattern.within is not None
         self._expiry: list[tuple[float, int]] = []  # (start_ts, run_id) heap
-        self.unsupported_retractions = 0
-        self._m_unsupported = NULL_COUNTER
+        self._m_unsupported = Counter()
         self.stats = {
             "matches": 0,
             "runs_created": 0,
@@ -302,20 +301,21 @@ class PatternMatcher(Operator):
     def active_runs(self) -> int:
         return len(self._runs)
 
-    def bind_metrics(self, metrics: Any) -> "PatternMatcher":
+    @property
+    def unsupported_retractions(self) -> int:
+        return self._m_unsupported.value
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> "PatternMatcher":
         super().bind_metrics(metrics)
-        self._m_unsupported = metrics.counter(
-            "cq.unsupported_retraction", stream=self.name
+        self._m_unsupported = metrics.adopt(
+            self._m_unsupported, "cq.unsupported_retraction", stream=self.name
         )
-        if self.unsupported_retractions:
-            self._m_unsupported.inc(self.unsupported_retractions)
         return self
 
     def on_retraction(self, event: Event) -> None:
         """Refuse a retraction: the matcher cannot compensate the
         matches or runs the retracted event fed, so it neither forwards
         the retraction as if it were output nor folds it in."""
-        self.unsupported_retractions += 1
         self._m_unsupported.inc()
 
     def _bind(self, run: _Run, element: PatternElement, event: Event) -> None:

@@ -8,10 +8,10 @@ one primitive.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.events import KIND_PUNCTUATION, KIND_RETRACTION, Event, punctuation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import Counter, MetricsRegistry
 
 EventSink = Callable[[Event], None]
 
@@ -22,25 +22,27 @@ class Stream:
     def __init__(self, name: str) -> None:
         self.name = name
         self._sinks: list[EventSink] = []
-        self.events_in = 0
-        self.events_out = 0
-        # No-op instruments until a registry is bound; the hot path
+        # Private counters until a registry is bound; the hot path
         # always pays the same one-attribute-load-plus-inc either way.
-        self._m_in = NULL_COUNTER
-        self._m_out = NULL_COUNTER
+        self._m_in = Counter()
+        self._m_out = Counter()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
-    def bind_metrics(self, metrics: Any) -> "Stream":
+    @property
+    def events_in(self) -> int:
+        return self._m_in.value
+
+    @property
+    def events_out(self) -> int:
+        return self._m_out.value
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> "Stream":
         """Export this stream's in/out counts through a registry,
         labelled by stream name; returns self for chaining."""
-        self._m_in = metrics.counter("cq.events_in", stream=self.name)
-        self._m_out = metrics.counter("cq.events_out", stream=self.name)
-        if self.events_in:
-            self._m_in.inc(self.events_in)
-        if self.events_out:
-            self._m_out.inc(self.events_out)
+        self._m_in = metrics.adopt(self._m_in, "cq.events_in", stream=self.name)
+        self._m_out = metrics.adopt(self._m_out, "cq.events_out", stream=self.name)
         return self
 
     def subscribe(self, sink: EventSink) -> "Stream":
@@ -53,7 +55,6 @@ class Stream:
 
     def push(self, event: Event) -> None:
         """Inject an event; the default stream forwards unchanged."""
-        self.events_in += 1
         self._m_in.inc()
         self.emit(event)
 
@@ -64,7 +65,6 @@ class Stream:
 
     def emit(self, event: Event) -> None:
         """Deliver an event to every subscriber."""
-        self.events_out += 1
         self._m_out.inc()
         for sink in self._sinks:
             sink(event)
@@ -90,7 +90,6 @@ class Operator(Stream):
         upstream.subscribe(self.push)
 
     def push(self, event: Event) -> None:
-        self.events_in += 1
         self._m_in.inc()
         if event.kind == KIND_PUNCTUATION:
             self.on_punctuation(event)

@@ -43,7 +43,7 @@ from typing import Any, Callable
 from repro.cq.stream import Operator, Stream
 from repro.errors import WindowError
 from repro.events import KIND_RETRACTION, Event
-from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
+from repro.obs.metrics import NULL_HISTOGRAM, Counter, MetricsRegistry
 
 PANE_EVENT_TYPE = "window.pane"
 
@@ -116,32 +116,32 @@ class WindowOperator(Operator):
         self.allowed_lateness = allowed_lateness
         self.output_mode = output_mode
         self._watermark = float("-inf")
-        self.late_dropped = 0
-        self.retractions_emitted = 0
         #: Upstream retractions a window cannot compensate (it would
         #: need to un-append from arbitrary panes); dropped and counted.
         self.retractions_dropped = 0
         self._pane_observers: list[PaneObserver] = []
         self._retire_observers: list[PaneRetireObserver] = []
-        self._m_late = NULL_COUNTER
-        self._m_retractions = NULL_COUNTER
+        self._m_late = Counter()
+        self._m_retractions = Counter()
         self._m_lateness = NULL_HISTOGRAM
 
     # -- observability -------------------------------------------------------
 
-    def bind_metrics(self, metrics: Any) -> "WindowOperator":
+    @property
+    def late_dropped(self) -> int:
+        return self._m_late.value
+
+    @property
+    def retractions_emitted(self) -> int:
+        return self._m_retractions.value
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> "WindowOperator":
         super().bind_metrics(metrics)
-        self._m_late = metrics.counter("cq.late_dropped", stream=self.name)
-        self._m_retractions = metrics.counter(
-            "cq.retractions_emitted", stream=self.name
+        self._m_late = metrics.adopt(self._m_late, "cq.late_dropped", stream=self.name)
+        self._m_retractions = metrics.adopt(
+            self._m_retractions, "cq.retractions_emitted", stream=self.name
         )
         self._m_lateness = metrics.histogram("cq.lateness", stream=self.name)
-        # Carry pre-binding counts into the registry, like Stream does
-        # with events_in/out, so a late bind loses nothing.
-        if self.late_dropped:
-            self._m_late.inc(self.late_dropped)
-        if self.retractions_emitted:
-            self._m_retractions.inc(self.retractions_emitted)
         return self
 
     # -- event-time plumbing -------------------------------------------------
@@ -170,7 +170,6 @@ class WindowOperator(Operator):
         if not math.isinf(lateness):
             self._m_lateness.observe(lateness)
         if timestamp < self.horizon:
-            self.late_dropped += 1
             self._m_late.inc()
             return True
         return False
@@ -263,7 +262,6 @@ class WindowOperator(Operator):
         for panes whose bounds have since moved (session extension) —
         the retraction must name the pane *as it was emitted*.
         """
-        self.retractions_emitted += 1
         self._m_retractions.inc()
         self.emit(
             Event(

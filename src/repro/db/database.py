@@ -257,13 +257,9 @@ class Database:
         faults: optional :class:`repro.faults.FaultInjector`; forwarded
             to the WAL and visible to brokers/delivery managers built
             on this database, so one injector arms the whole pipeline.
-        metrics: optional shared :class:`repro.obs.MetricsRegistry`;
-            when omitted the database builds its own (driven by its
-            clock).  Pass one registry to several databases/brokers to
-            get a single pipeline-wide snapshot.
-        metrics_enabled: build the owned registry disabled (all hot-path
-            instruments become no-ops; error accounting stays live).
-            Ignored when an explicit ``metrics`` registry is passed.
+        metrics_enabled: build the database's registry disabled: counts
+            stay right (``statistics``, every ``.stats``) but no snapshot
+            publishes them; error accounting stays live.
     """
 
     def __init__(
@@ -277,20 +273,19 @@ class Database:
         clock: Clock | None = None,
         faults: Any = None,
         statement_cache_size: int = STATEMENT_CACHE_CAPACITY,
-        metrics: MetricsRegistry | None = None,
         metrics_enabled: bool = True,
     ) -> None:
         self.clock = clock or WallClock()
         self.catalog = Catalog()
+        self.obs = MetricsRegistry(clock=self.clock, enabled=metrics_enabled)
         # Shared statement cache (the "cursor cache"): parse results are
         # keyed by (normalized SQL, schema_version); every DDL bumps the
         # version so stale plans can never be served.
         self.schema_version = 0
-        self.statement_cache = StatementCache(capacity=statement_cache_size)
-        self._faults = faults
-        self.obs = metrics or MetricsRegistry(
-            clock=self.clock, enabled=metrics_enabled
+        self.statement_cache = StatementCache(
+            capacity=statement_cache_size, metrics=self.obs
         )
+        self._faults = faults
         self.wal = WriteAheadLog(
             path=path,
             sync_policy=sync_policy,
@@ -311,25 +306,21 @@ class Database:
         self._abort_listeners: list[Callable[[Transaction], None]] = []
         self._default_connection: Connection | None = None
         self._mutex = threading.RLock()
-        self.statistics = {
-            "inserts": 0,
-            "updates": 0,
-            "deletes": 0,
-            "commits": 0,
-            "rollbacks": 0,
-        }
+        self.statistics = self.obs.view(
+            "db", "inserts", "updates", "deletes", "commits", "rollbacks"
+        )
+        (self._m_inserts, self._m_updates, self._m_deletes, self._m_commits,
+         self._m_rollbacks) = self.statistics.counters.values()
         if path and len(self.wal):
             self._rebuild_from_records(self.wal.records(durable_only=True))
 
     def metrics(self) -> dict[str, Any]:
         """One coherent observability snapshot for this database.
 
-        Merges the shared registry's instruments with the statement
-        cache's hit/miss accounting, the legacy ``statistics`` counters
-        and, for every table that has a columnar projection, its
-        ``columnar.*{table=...}`` maintenance counts (read here, at
-        snapshot time: a patch is told from a rebuild at no hot-path
-        cost), so callers get every number from one place.
+        The registry's snapshot plus, for every table that has a
+        columnar projection, its ``columnar.*{table=...}`` maintenance
+        counts as gauges (read here, at snapshot time: a patch is told
+        from a rebuild at no hot-path cost).
         """
         snapshot = self.obs.snapshot()
         for table in self.catalog.tables():
@@ -338,18 +329,6 @@ class Database:
                 for name, value in store.stats().items():
                     key = metric_key(f"columnar.{name}", {"table": table.name})
                     snapshot["gauges"][key] = value
-        cache = self.statement_cache.stats
-        for key, value in cache.items():
-            snapshot["counters"][f"statement_cache.{key}"] = value
-        snapshot["gauges"]["statement_cache.hit_rate"] = (
-            self.statement_cache.hit_rate
-        )
-        for key, value in self.statistics.items():
-            snapshot["counters"][f"db.{key}"] = value
-        snapshot["counters"].setdefault("wal.fsyncs", 0)
-        snapshot["counters"]["wal.fsyncs"] = max(
-            snapshot["counters"]["wal.fsyncs"], self.wal.flush_count
-        )
         return snapshot
 
     @property
@@ -411,7 +390,7 @@ class Database:
             self.wal.append(transaction.txid, OP_COMMIT)
             if self.wal.sync_policy == "commit":
                 self.wal.commit_point()
-        self.statistics["commits"] += 1
+        self._m_commits.inc()
 
     def _after_commit(self, transaction: Transaction) -> None:
         # Locks are released here, so listeners may freely run new
@@ -422,7 +401,7 @@ class Database:
     def _on_abort(self, transaction: Transaction) -> None:
         if transaction.attributes.get("wrote"):
             self.wal.append(transaction.txid, OP_ABORT)
-        self.statistics["rollbacks"] += 1
+        self._m_rollbacks.inc()
 
     def _after_abort(self, transaction: Transaction) -> None:
         for listener in self._abort_listeners:
@@ -778,7 +757,7 @@ class Database:
             rowid=rowid,
             after=dict(row),
         )
-        self.statistics["inserts"] += 1
+        self._m_inserts.inc()
         self._fire_row_triggers(
             table.name,
             TriggerEvent.INSERT,
@@ -881,7 +860,7 @@ class Database:
             before=dict(old_row),
             after=merged,
         )
-        self.statistics["updates"] += 1
+        self._m_updates.inc()
         self._fire_row_triggers(
             table.name,
             TriggerEvent.UPDATE,
@@ -965,7 +944,7 @@ class Database:
             rowid=rowid,
             before=dict(old_row),
         )
-        self.statistics["deletes"] += 1
+        self._m_deletes.inc()
         self._fire_row_triggers(
             table.name,
             TriggerEvent.DELETE,

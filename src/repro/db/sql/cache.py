@@ -30,6 +30,7 @@ from repro.db.expr import Expression, substitute_parameters
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.errors import DatabaseError
+from repro.obs.metrics import UNPUBLISHED, MetricsRegistry
 
 DEFAULT_CAPACITY = 256
 
@@ -215,26 +216,31 @@ class StatementCache:
     outside the lock.
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = DEFAULT_CAPACITY,
+        *,
+        metrics: MetricsRegistry = UNPUBLISHED,
+    ) -> None:
         if capacity < 1:
             raise ValueError("statement cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[str, int], CachedStatement] = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "invalidations": 0,
-        }
+        self.stats = metrics.view(
+            "statement_cache", "hits", "misses", "evictions", "invalidations"
+        )
+        (self._m_hits, self._m_misses, self._m_evictions,
+         self._m_invalidations) = self.stats.counters.values()
+        metrics.gauge_fn("statement_cache.hit_rate", lambda: self.hit_rate)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
-        probes = self.stats["hits"] + self.stats["misses"]
-        return self.stats["hits"] / probes if probes else 0.0
+        probes = self._m_hits.value + self._m_misses.value
+        return self._m_hits.value / probes if probes else 0.0
 
     def lookup(
         self,
@@ -254,9 +260,9 @@ class StatementCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.stats["hits"] += 1
+                self._m_hits.inc()
                 return entry
-            self.stats["misses"] += 1
+            self._m_misses.inc()
         statement = parse_statement(sql)
         entry = CachedStatement(statement)
         if not isinstance(statement, _TRANSACTION_STATEMENTS):
@@ -265,7 +271,7 @@ class StatementCache:
                 self._entries.move_to_end(key)
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
-                    self.stats["evictions"] += 1
+                    self._m_evictions.inc()
         return entry
 
     def drop_stale(self, current_version: int) -> int:
@@ -276,12 +282,12 @@ class StatementCache:
             ]
             for key in stale:
                 del self._entries[key]
-            self.stats["invalidations"] += len(stale)
+            self._m_invalidations.inc(len(stale))
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
-            self.stats["invalidations"] += len(self._entries)
+            self._m_invalidations.inc(len(self._entries))
             self._entries.clear()
 
 

@@ -53,11 +53,10 @@ from repro.errors import (
     TornTailWarning,
     WALError,
 )
-from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
+from repro.obs.metrics import UNPUBLISHED, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults import FaultContext, FaultInjector
-    from repro.obs.metrics import MetricsRegistry
 
 # Record operation names.
 OP_BEGIN = "begin"
@@ -341,7 +340,7 @@ class WriteAheadLog:
         group_commit_size: int = 1,
         group_commit_window: float | None = None,
         faults: "FaultInjector | None" = None,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry = UNPUBLISHED,
     ) -> None:
         if sync_policy not in ("commit", "none", "always"):
             raise ValueError(f"unknown sync_policy {sync_policy!r}")
@@ -362,24 +361,16 @@ class WriteAheadLog:
         self._encoded: dict[int, str] = {}
         self._next_lsn = 1
         self._durable_count = 0
-        self.flush_count = 0  # observable fsync count, used by benchmarks
         # New journals use the framed format; attaching to an existing
         # file adopts its version so one file never mixes formats.
         self._format_version = WAL_FORMAT_VERSION
         self.load_report: WalLoadReport | None = None
         # Instruments resolved once; each hot-path touch is one attribute
-        # load plus an add (no-ops when no registry is attached).
-        self.metrics = metrics
-        if metrics is not None:
-            self._m_appends = metrics.counter("wal.appends")
-            self._m_fsyncs = metrics.counter("wal.fsyncs")
-            self._m_bytes = metrics.counter("wal.bytes")
-            self._m_batch = metrics.histogram("wal.group_commit_batch")
-        else:
-            self._m_appends = NULL_COUNTER
-            self._m_fsyncs = NULL_COUNTER
-            self._m_bytes = NULL_COUNTER
-            self._m_batch = NULL_HISTOGRAM
+        # load plus an add.
+        self._m_appends = metrics.counter("wal.appends")
+        self._m_fsyncs = metrics.counter("wal.fsyncs")
+        self._m_bytes = metrics.counter("wal.bytes")
+        self._m_batch = metrics.histogram("wal.group_commit_batch")
         if path and os.path.exists(path):
             self._load_existing(path)
 
@@ -416,6 +407,11 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    @property
+    def flush_count(self) -> int:
+        """Flushes so far (the ``wal.fsyncs`` counter)."""
+        return self._m_fsyncs.value
 
     @property
     def last_lsn(self) -> int:
@@ -540,7 +536,6 @@ class WriteAheadLog:
                     failpoint="wal.flush.torn",
                 )
         self._durable_count = len(self._records)
-        self.flush_count += 1
         self._m_fsyncs.inc()
         if batch:
             # Commits covered by this one fsync — the group-commit

@@ -6,10 +6,11 @@ See :mod:`repro.obs.metrics` for the instrument/registry design and
 """
 
 from repro.obs.metrics import (
-    NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
+    UNPUBLISHED,
     Counter,
+    CounterView,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -30,14 +31,15 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
+    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
     "TraceHop",
     "TraceLog",
+    "UNPUBLISHED",
     "aggregate_counters",
     "default_trace_log",
     "lookup_trace",

@@ -6,17 +6,33 @@ account for what happened to every message.  This module is that
 accounting substrate: every hot stage (WAL, statement cache, queues,
 rules, propagation, delivery, CQ operators) increments instruments
 obtained from a shared :class:`MetricsRegistry`, and
-``Database.metrics()`` / ``QueueBroker.metrics()`` / ``python -m repro
-stats`` render the registry as one snapshot.
+``Database.metrics()`` / ``python -m repro stats`` render the registry
+as one snapshot.
+
+**One store.**  A :class:`Counter` is the only place a count lives.  A
+component's ``.stats`` mapping (and ``Database.statistics``) is a
+:class:`CounterView`, a read-only view over the counters the component
+increments; count attributes such as ``Stream.events_in`` are
+properties over a counter.  Nothing keeps a second tally beside it.
+
+**Identity.**  A count belongs to its ``(registry, name, labels)``
+identity: asking twice returns the same counter, so two live objects
+with the same identity (two queue-table handles for one queue, two
+streams of one name bound to one registry) read the shared total.
+
+**Disabled means unpublished.**  A counter always counts.  A registry
+built with ``enabled=False`` hands each caller a private ``Counter()``
+that no snapshot lists, and :data:`UNPUBLISHED` is such a registry,
+the default for components built without one, so their ``.stats``
+stay right either way.  Gauges and histograms of a disabled registry
+are shared no-op instruments.
 
 Design constraints, in order:
 
 1. **Near-zero hot-path cost.**  Components resolve their instruments
    ONCE (at construction) and keep direct references; the per-event
-   cost is one attribute load plus an integer add.  A registry built
-   with ``enabled=False`` hands out shared null instruments whose
-   methods are no-ops, so a disabled pipeline pays only the (empty)
-   method call — the overhead budget is enforced by
+   cost is one attribute load plus an integer add, the same whether or
+   not the registry publishes — the overhead budget is enforced by
    ``tests/perf/test_obs_overhead.py``.
 2. **Clock discipline.**  The registry never calls ``time.time()``;
    snapshot timestamps come from the :class:`repro.clock.Clock` it was
@@ -40,7 +56,8 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import Any, Callable, Iterable
+from collections.abc import Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 DEFAULT_HISTOGRAM_WINDOW = 512
 
@@ -76,6 +93,34 @@ class Counter:
 
     def inc(self, n: int | float = 1) -> None:
         self.value += n
+
+
+class CounterView(Mapping):
+    """Read-only ``key -> count`` mapping over a component's counters.
+
+    What ``.stats`` is: each read returns the counter's current value,
+    so the view never drifts from the registry, and it compares equal
+    to (and converts to) a plain dict.  Item assignment raises
+    ``TypeError`` — counts change only through ``Counter.inc`` on the
+    objects in ``counters``, which the component keeps for its hot path.
+    """
+
+    __slots__ = ("counters",)
+
+    def __init__(self, counters: dict[str, Counter]) -> None:
+        self.counters = counters
+
+    def __getitem__(self, key: str) -> int | float:
+        return self.counters[key].value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.counters)
+
+    def __len__(self) -> int:
+        return len(self.counters)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 class Gauge:
@@ -144,13 +189,6 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int | float = 1) -> None:  # noqa: D102 — no-op
-        pass
-
-
 class _NullGauge(Gauge):
     __slots__ = ()
 
@@ -171,9 +209,7 @@ class _NullHistogram(Histogram):
         pass
 
 
-#: Shared no-op instruments handed out by disabled registries; also the
-#: safe defaults for components constructed without any registry.
-NULL_COUNTER = _NullCounter()
+#: Shared no-op gauge and histogram handed out by disabled registries.
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
 
@@ -181,9 +217,12 @@ NULL_HISTOGRAM = _NullHistogram()
 # what a whole experiment did even though its registries (owned by
 # short-lived Database instances) are gone by the time the table prints:
 # live registries are tracked weakly; a registry folds its counters into
-# the retired totals when it is garbage-collected.
+# the retired totals when it is garbage-collected.  `reset_aggregate`
+# records the totals of the moment as a baseline the aggregate subtracts,
+# so resetting never writes to a live counter.
 _live_registries: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
 _retired_counters: dict[str, float] = {}
+_aggregate_baseline: dict[str, float] = {}
 
 
 class MetricsRegistry:
@@ -218,12 +257,29 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         if not self.enabled:
-            return NULL_COUNTER
+            return Counter()
         key = metric_key(name, labels)
         counter = self._counters.get(key)
         if counter is None:
             counter = self._counters[key] = Counter()
         return counter
+
+    def view(self, prefix: str, *keys: str, **labels: Any) -> CounterView:
+        """A component's ``.stats``: one ``<prefix>.<key>`` counter per
+        key, all with these labels."""
+        return CounterView(
+            {key: self.counter(f"{prefix}.{key}", **labels) for key in keys}
+        )
+
+    def adopt(self, counter: Counter, name: str, **labels: Any) -> Counter:
+        """This registry's counter for ``(name, labels)``, credited with
+        whatever ``counter`` counted before: how ``bind_metrics`` swaps a
+        component's private counter for a published one without losing
+        its pre-binding count."""
+        bound = self.counter(name, **labels)
+        if bound is not counter:
+            bound.inc(counter.value)
+        return bound
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         if not self.enabled:
@@ -307,6 +363,11 @@ class MetricsRegistry:
             pass
 
 
+#: The registry of components built without one: its counters count
+#: and are never published.
+UNPUBLISHED = MetricsRegistry(enabled=False)
+
+
 def _fold(items: Iterable[tuple[str, Any]]) -> None:
     for key, value in items:
         count = value.value if isinstance(value, Counter) else value
@@ -331,13 +392,7 @@ def absorb_snapshot(snapshot: dict[str, Any]) -> None:
     )
 
 
-def aggregate_counters(*, by_name: bool = True) -> dict[str, float]:
-    """Process-wide counter totals: retired registries, live ones, and
-    any absorbed worker snapshots (:func:`absorb_snapshot`).
-
-    With ``by_name`` (default) labels are stripped and same-named
-    counters summed — the compact view ``run_all --quick`` prints.
-    """
+def _raw_totals() -> dict[str, float]:
     totals: dict[str, float] = dict(_retired_counters)
     for registry in list(_live_registries):
         for key, counter in registry._counters.items():
@@ -346,6 +401,22 @@ def aggregate_counters(*, by_name: bool = True) -> dict[str, float]:
         for stage, count in registry._errors.items():
             key = f"errors_suppressed{{stage={stage}}}"
             totals[key] = totals.get(key, 0) + count
+    return totals
+
+
+def aggregate_counters(*, by_name: bool = True) -> dict[str, float]:
+    """Process-wide counter totals: retired registries, live ones, and
+    any absorbed worker snapshots (:func:`absorb_snapshot`).
+
+    Counted from the last :func:`reset_aggregate`.  With ``by_name``
+    (default) labels are stripped and same-named counters summed — the
+    compact view ``run_all --quick`` prints.
+    """
+    totals: dict[str, float] = {}
+    for key, value in _raw_totals().items():
+        value -= _aggregate_baseline.get(key, 0)
+        if value:
+            totals[key] = value
     if not by_name:
         return totals
     by: dict[str, float] = {}
@@ -442,9 +513,11 @@ def merge_snapshots(
 
 
 def reset_aggregate() -> None:
-    """Zero the process-wide totals (the diff base for ``run_all``)."""
-    _retired_counters.clear()
-    for registry in list(_live_registries):
-        for counter in registry._counters.values():
-            counter.value = 0
-        registry._errors.clear()
+    """Make the current process-wide totals the zero point of
+    :func:`aggregate_counters` (the diff base for ``run_all``).
+
+    Writes to no counter: live registries, their snapshots and the
+    ``.stats`` views over them keep their values.
+    """
+    _aggregate_baseline.clear()
+    _aggregate_baseline.update(_raw_totals())

@@ -4,8 +4,10 @@ Runs a compact end-to-end pipeline — trigger capture → rules → staging
 queue → cross-broker propagation → reliable delivery, with pub/sub and
 a CQ stream riding along — entirely on a :class:`SimulatedClock`, then
 renders one observability report: the metrics snapshots of both
-databases, per-stage stats dicts, and a sample end-to-end trace
-reconstructed from the :class:`repro.obs.trace.TraceLog`.
+databases and a sample end-to-end trace reconstructed from the
+:class:`repro.obs.trace.TraceLog`.  Every count appears once, as a
+registry counter; the components' ``.stats`` are views of the same
+counters and are not printed again.
 
 With ``faults=True`` the workload arms the failure-boundary failpoints
 (consumer crashes, trigger-drop failures) so every former
@@ -15,7 +17,6 @@ the exercise is that nothing fails invisibly.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.clock import SimulatedClock
@@ -197,12 +198,7 @@ def run_stats_workload(
             "events": events,
             "consumed": consumed,
             "local": db.metrics(),
-            "remote": remote.metrics(),
-            "queues": broker.stats(),
-            "engine": dict(engine.stats),
-            "propagation": dict(propagator.stats),
-            "delivery": dict(delivery.stats),
-            "pubsub": dict(pubsub.stats),
+            "remote": remote_db.metrics(),
             "trace": _sample_trace(trace_log),
             "trace_count": len(trace_log.trace_ids()),
         }
@@ -387,10 +383,6 @@ def format_report(report: dict[str, Any]) -> str:
             for stage, count in sorted(snapshot["errors_suppressed"].items()):
                 last = snapshot["last_errors"].get(stage, "")
                 lines.append(f"  {stage:<44} {count}  (last: {last})")
-
-    section("stage stats")
-    for stage in ("engine", "propagation", "delivery", "pubsub", "queues"):
-        lines.append(f"  {stage}: {json.dumps(report[stage], sort_keys=True)}")
 
     trace = report.get("trace")
     if trace:

@@ -77,11 +77,13 @@ class PubSubBroker:
         self.queues = QueueBroker(db, name=f"{name}-queues")
         self._matcher = SubscriptionMatcher()
         self._listeners: dict[str, Callback] = {}
-        self.stats = {"published": 0, "delivered": 0, "spooled": 0}
         obs = db.obs
-        self._m_published = obs.counter("pubsub.published", broker=name)
-        self._m_delivered = obs.counter("pubsub.delivered", broker=name)
-        self._m_spooled = obs.counter("pubsub.spooled", broker=name)
+        self.stats = obs.view(
+            "pubsub", "published", "delivered", "spooled", broker=name
+        )
+        self._m_published, self._m_delivered, self._m_spooled = (
+            self.stats.counters.values()
+        )
         self._m_filtered_out = obs.counter("pubsub.filtered_out", broker=name)
         self._m_suppressed = obs.counter("pubsub.suppressed", broker=name)
 
@@ -177,7 +179,6 @@ class PubSubBroker:
         """
         topic = self.topic(topic_name)
         topic.record(event)
-        self.stats["published"] += 1
         self._m_published.inc()
         record_hop(
             event.trace_id,
@@ -210,14 +211,12 @@ class PubSubBroker:
                     ),
                 ),
             )
-            self.stats["spooled"] += 1
             self._m_spooled.inc()
             listener = self._listeners.get(subscription.subscriber)
             if listener is not None:
                 self._drain(subscription, listener)
         else:
             subscription.callback(event)
-            self.stats["delivered"] += 1
             self._m_delivered.inc()
             record_hop(
                 event.trace_id,
@@ -276,7 +275,6 @@ class PubSubBroker:
                 message.message_id,
                 principal=subscription.subscriber,
             )
-            self.stats["delivered"] += 1
             self._m_delivered.inc()
             record_hop(
                 event.trace_id,
@@ -315,7 +313,6 @@ class PubSubBroker:
         self.queues.ack(
             subscription.queue_name, message.message_id, principal=subscriber
         )
-        self.stats["delivered"] += 1
         self._m_delivered.inc()
         event = _payload_to_event(message.payload)
         record_hop(

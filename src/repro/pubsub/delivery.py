@@ -67,27 +67,14 @@ class DeliveryManager:
         if dead_letter_queue and not broker.has_queue(dead_letter_queue):
             broker.create_queue(dead_letter_queue)
         self._pending: dict[int, _PendingAck] = {}
-        self.stats = {
-            "delivered": 0,
-            "acked": 0,
-            "redelivered": 0,
-            "consumer_errors": 0,
-            "dead_lettered": 0,
-        }
         self._obs = broker.db.obs
-        self._m_delivered = self._obs.counter(
-            "delivery.delivered", queue=queue_name
+        self.stats = self._obs.view(
+            "delivery",
+            "delivered", "acked", "redelivered", "consumer_errors", "dead_lettered",
+            queue=queue_name,
         )
-        self._m_acked = self._obs.counter("delivery.acked", queue=queue_name)
-        self._m_redelivered = self._obs.counter(
-            "delivery.redelivered", queue=queue_name
-        )
-        self._m_consumer_errors = self._obs.counter(
-            "delivery.consumer_errors", queue=queue_name
-        )
-        self._m_dead = self._obs.counter(
-            "delivery.dead_lettered", queue=queue_name
-        )
+        (self._m_delivered, self._m_acked, self._m_redelivered,
+         self._m_consumer_errors, self._m_dead) = self.stats.counters.values()
         # Enqueue → successful-consumption latency, in clock seconds.
         self._m_hop_latency = self._obs.histogram(
             "delivery.hop_latency", queue=queue_name
@@ -125,7 +112,6 @@ class DeliveryManager:
             message_id=message.message_id,
             deadline=self.clock.now() + self.ack_timeout,
         )
-        self.stats["delivered"] += 1
         self._m_delivered.inc()
         return message
 
@@ -139,7 +125,6 @@ class DeliveryManager:
         # must still know about it.
         self.broker.ack(self.queue_name, message_id, principal="delivery")
         del self._pending[message_id]
-        self.stats["acked"] += 1
         self._m_acked.inc()
 
     def nack(self, message_id: int, *, delay: float = 0.0) -> None:
@@ -205,7 +190,6 @@ class DeliveryManager:
                         },
                     )
                 self.broker.publish(self.dead_letter_queue, dead, principal="delivery")
-                self.stats["dead_lettered"] += 1
                 self._m_dead.inc()
                 record_hop(
                     trace_id,
@@ -220,7 +204,6 @@ class DeliveryManager:
             self.broker.requeue(
                 self.queue_name, message_id, delay=delay, principal="delivery"
             )
-            self.stats["redelivered"] += 1
             self._m_redelivered.inc()
             record_hop(
                 trace_id,
@@ -267,7 +250,6 @@ class DeliveryManager:
             self._pending[message.message_id] = _PendingAck(
                 message_id=message.message_id, deadline=deadline
             )
-        self.stats["delivered"] += len(messages)
         self._m_delivered.inc(len(messages))
         succeeded: list[Message] = []
         for message in messages:
@@ -276,7 +258,6 @@ class DeliveryManager:
             except Exception as exc:
                 # Count and retain the error before the nack, so a
                 # raising consumer is observable, not just retried.
-                self.stats["consumer_errors"] += 1
                 self._m_consumer_errors.inc()
                 self._obs.record_error("delivery.process_batch", exc)
                 self.nack(message.message_id)
@@ -290,7 +271,6 @@ class DeliveryManager:
             )
             for message in succeeded:
                 del self._pending[message.message_id]
-            self.stats["acked"] += len(succeeded)
             self._m_acked.inc(len(succeeded))
             for message in succeeded:
                 self._finish(message)

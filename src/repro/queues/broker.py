@@ -267,10 +267,3 @@ class QueueBroker:
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {name: dict(queue.stats) for name, queue in self._queues.items()}
-
-    def metrics(self) -> dict[str, Any]:
-        """The database's observability snapshot plus this broker's
-        per-queue stats under a ``queues`` key."""
-        snapshot = self.db.metrics()
-        snapshot["queues"] = self.stats()
-        return snapshot

@@ -147,12 +147,14 @@ class Propagator:
         # dedup_window caps whatever retry limbo remains.
         self.dedup_window = dedup_window
         self._delivered_ids: dict[str, BoundedIdWindow] = {}
-        self.stats = {"forwarded": 0, "retried": 0, "dead_lettered": 0}
         obs = broker.db.obs
         self._clock = broker.db.clock
-        self._m_forwarded = obs.counter("prop.forwarded", source=source_queue)
-        self._m_retried = obs.counter("prop.retried", source=source_queue)
-        self._m_dead = obs.counter("prop.dead_lettered", source=source_queue)
+        self.stats = obs.view(
+            "prop", "forwarded", "retried", "dead_lettered", source=source_queue
+        )
+        self._m_forwarded, self._m_retried, self._m_dead = (
+            self.stats.counters.values()
+        )
         self._m_attempts = obs.counter("prop.attempts", source=source_queue)
         # Source-enqueue → fully-forwarded latency, in clock seconds.
         self._m_hop_latency = obs.histogram(
@@ -215,7 +217,6 @@ class Propagator:
         duplicate-suppression ids are evicted from every link window
         (the fix for the former unbounded ``_delivered_ids`` growth).
         """
-        self.stats["forwarded"] += 1
         self._m_forwarded.inc()
         for window in self._delivered_ids.values():
             window.discard(message.message_id)
@@ -257,7 +258,6 @@ class Propagator:
             delay=backoff,
             principal="propagator",
         )
-        self.stats["retried"] += 1
         self._m_retried.inc()
         record_hop(
             message.headers.get("trace_id"),
@@ -272,7 +272,6 @@ class Propagator:
     def _dead_letter(
         self, message: Message, failures: list[tuple[PropagationLink, Exception]]
     ) -> None:
-        self.stats["dead_lettered"] += 1
         self._m_dead.inc()
         # A dead-lettered message is resolved: evict its dedup ids.
         for window in self._delivered_ids.values():

@@ -79,22 +79,16 @@ class QueueTable:
         self.table_name = queue_table_name(name)
         self.keep_history = keep_history
         self.default_expiration = default_expiration
-        self.stats = {
-            "enqueued": 0,
-            "dequeued": 0,
-            "acked": 0,
-            "requeued": 0,
-            "expired": 0,
-        }
-        # Registry instruments mirroring the legacy stats dict, bound
-        # once (label: queue name); the depth gauge is a provider read
+        # Registry counters bound once (label: queue name), shared by
+        # every handle on this queue; the depth gauge is a provider read
         # only at snapshot time, so it costs the hot path nothing.
         obs = db.obs
-        self._m_enqueued = obs.counter("queue.enqueued", queue=self.name)
-        self._m_dequeued = obs.counter("queue.dequeued", queue=self.name)
-        self._m_acked = obs.counter("queue.acked", queue=self.name)
-        self._m_requeued = obs.counter("queue.requeued", queue=self.name)
-        self._m_expired = obs.counter("queue.expired", queue=self.name)
+        self.stats = obs.view(
+            "queue", "enqueued", "dequeued", "acked", "requeued", "expired",
+            queue=self.name,
+        )
+        (self._m_enqueued, self._m_dequeued, self._m_acked, self._m_requeued,
+         self._m_expired) = self.stats.counters.values()
         obs.gauge_fn("queue.depth", self.depth, queue=self.name)
         # Priority-ordered READY index: min-heap of (-priority, rowid).
         # rowid is the tie-break, so FIFO-within-priority follows the
@@ -169,7 +163,6 @@ class QueueTable:
         for message, rowid in zip(messages, rowids):
             message.message_id = rowid
             heapq.heappush(self._ready, (-message.priority, rowid))
-        self.stats["enqueued"] += len(rowids)
         self._m_enqueued.inc(len(rowids))
         return rowids
 
@@ -315,8 +308,6 @@ class QueueTable:
                     heapq.heappush(self._ready, entry) for entry in entries
                 ]
             )
-        self.stats["expired"] += expired
-        self.stats["dequeued"] += len(messages)
         if expired:
             self._m_expired.inc(expired)
         if messages:
@@ -402,7 +393,6 @@ class QueueTable:
         def work(connection: Connection) -> int:
             self._require_state(ids, MessageState.LOCKED, "ack")
             self._consume(ids, connection)
-            self.stats["acked"] += len(ids)
             self._m_acked.inc(len(ids))
             return len(ids)
 
@@ -463,7 +453,6 @@ class QueueTable:
                 conn=connection,
             )
             heapq.heappush(self._ready, (-row["priority"], message_id))
-            self.stats["requeued"] += 1
             self._m_requeued.inc()
 
         self.db.run_in_transaction(conn, work)
@@ -530,7 +519,6 @@ class QueueTable:
             self.table_name,
             [(rowid, {"state": MessageState.EXPIRED.value}) for rowid in expired],
         )
-        self.stats["expired"] += len(expired)
         self._m_expired.inc(len(expired))
         return len(expired)
 

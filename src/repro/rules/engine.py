@@ -28,7 +28,7 @@ from typing import Any, Iterable, Mapping
 from repro.db.database import Database
 from repro.errors import RuleError, RuleNotFoundError
 from repro.events import Event
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.metrics import UNPUBLISHED, MetricsRegistry
 from repro.obs.trace import record_hop
 from repro.queues.queue_table import QueueTable
 from repro.rules.index import PredicateIndex
@@ -82,7 +82,7 @@ class RuleEngine:
         self,
         *,
         mode: str = "indexed",
-        metrics: Any = None,
+        metrics: MetricsRegistry = UNPUBLISHED,
     ) -> None:
         if mode not in ("indexed", "naive"):
             raise RuleError(f"unknown evaluation mode {mode!r}")
@@ -92,26 +92,15 @@ class RuleEngine:
         # Type routing: exact-type buckets plus wildcard-pattern rules.
         self._by_exact_type: dict[str, set[str]] = {}
         self._wildcard_rules: set[str] = set()
-        self.stats = {
-            "events_evaluated": 0,
-            "conditions_evaluated": 0,
-            "matches": 0,
-            "actions_run": 0,
-        }
         # Share a pipeline registry (e.g. Database.obs) to surface rule
-        # work in the same snapshot; without one, instruments are no-ops.
-        if metrics is not None:
-            self._m_events = metrics.counter("rules.events_evaluated")
-            self._m_conditions = metrics.counter("rules.conditions_evaluated")
-            self._m_matches = metrics.counter("rules.matches")
-            self._m_actions = metrics.counter("rules.actions_run")
-            self._m_compiles = metrics.counter("rules.compiles")
-        else:
-            self._m_events = NULL_COUNTER
-            self._m_conditions = NULL_COUNTER
-            self._m_matches = NULL_COUNTER
-            self._m_actions = NULL_COUNTER
-            self._m_compiles = NULL_COUNTER
+        # work in the same snapshot; without one, counts stay private.
+        self.stats = metrics.view(
+            "rules",
+            "events_evaluated", "conditions_evaluated", "matches", "actions_run",
+        )
+        (self._m_events, self._m_conditions, self._m_matches,
+         self._m_actions) = self.stats.counters.values()
+        self._m_compiles = metrics.counter("rules.compiles")
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -204,7 +193,6 @@ class RuleEngine:
         run_actions: bool = True,
     ) -> list[RuleMatch]:
         """Evaluate all applicable rules against one context."""
-        self.stats["events_evaluated"] += 1
         self._m_events.inc()
         event_type = event.event_type if event is not None else None
         # Type filtering probes the wildcard/exact-type sets per
@@ -232,12 +220,10 @@ class RuleEngine:
                     continue
                 if not rule.matches_event_type(event_type):
                     continue
-            self.stats["conditions_evaluated"] += 1
             self._m_conditions.inc()
             if rule.compiled_condition(context):
                 matches.append(RuleMatch(rule=rule, context=context, event=event))
         matches.sort(key=lambda m: (-m.rule.priority, m.rule.rule_id))
-        self.stats["matches"] += len(matches)
         if matches:
             self._m_matches.inc(len(matches))
             trace_id = event.trace_id if event is not None else None
@@ -251,7 +237,6 @@ class RuleEngine:
             for match in matches:
                 if match.rule.action is not None:
                     match.rule.action(match.rule, context)
-                    self.stats["actions_run"] += 1
                     self._m_actions.inc()
         return matches
 

@@ -464,7 +464,13 @@ class ShardedPubSubBroker:
         self.name = name
         self.queues = ShardedQueueBroker(coordinator)
         self._matcher = SubscriptionMatcher()
-        self.stats = {"published": 0, "spooled": 0, "delivered": 0}
+        # PubSubBroker's counters, on the coordinator's registry.
+        self.stats = coordinator.engine.obs.view(
+            "pubsub", "published", "spooled", "delivered", broker=name
+        )
+        self._m_published, self._m_spooled, self._m_delivered = (
+            self.stats.counters.values()
+        )
 
     # -- topics / subscriptions ---------------------------------------------
 
@@ -502,7 +508,7 @@ class ShardedPubSubBroker:
         entries: list[tuple[str, Message]] = []
         for event in events:
             topic.record(event)
-            self.stats["published"] += 1
+            self._m_published.inc()
             entries.extend(
                 (
                     subscription.queue_name,
@@ -512,7 +518,7 @@ class ShardedPubSubBroker:
             )
         if entries:
             self.queues.publish_many(entries, principal="internal")
-            self.stats["spooled"] += len(entries)
+            self._m_spooled.inc(len(entries))
         return len(entries)
 
     # -- consume ------------------------------------------------------------
@@ -528,7 +534,7 @@ class ShardedPubSubBroker:
         self.queues.ack(
             queue_name, message.message_id, principal=subscriber
         )
-        self.stats["delivered"] += 1
+        self._m_delivered.inc()
         return _payload_to_event(message.payload)
 
     def drain(
@@ -553,7 +559,7 @@ class ShardedPubSubBroker:
             finally:
                 if acked:
                     self.queues.ack_batch(queue_name, acked, principal=subscriber)
-                    self.stats["delivered"] += len(acked)
+                    self._m_delivered.inc(len(acked))
                     drained += len(acked)
                 for message in messages:
                     if message.message_id not in acked:

@@ -387,7 +387,9 @@ class ShardCoordinator:
                     self._seed_replica(shard_id, replica)
                     reseeded += 1
                 except ShardError:
-                    self.replicator.stats["replica_failures"] += 1
+                    self.engine.obs.counter(
+                        "shard.replication.replica_failures"
+                    ).inc()
         return reseeded
 
     def worker(self, shard_id: int) -> WorkerHandle:

@@ -111,7 +111,10 @@ class ShardReplicator:
         #: Tests and batch loads set False and pump :meth:`ship`.
         self.auto_ship = auto_ship
         self.logs: dict[int, ReplicationLog] = {}
-        self.stats = {"recorded": 0, "shipped": 0, "replica_failures": 0}
+        obs = coordinator.engine.obs
+        self._m_recorded = obs.counter("shard.replication.recorded")
+        self._m_shipped = obs.counter("shard.replication.shipped")
+        self._m_failures = obs.counter("shard.replication.replica_failures")
 
     def log_for(self, shard_id: int) -> ReplicationLog:
         log = self.logs.get(shard_id)
@@ -188,7 +191,7 @@ class ShardReplicator:
     def _append(self, shard_id: int, entry: dict[str, Any],
                 lsn: int | None) -> None:
         self.log_for(shard_id).append(entry, lsn=lsn)
-        self.stats["recorded"] += 1
+        self._m_recorded.inc()
         if self.auto_ship:
             self.ship(shard_id)
 
@@ -216,11 +219,11 @@ class ShardReplicator:
             try:
                 result = replica.handle.call("replicate", {"entries": pending})
             except ShardError:
-                self.stats["replica_failures"] += 1
+                self._m_failures.inc()
                 continue
             replica.acked_seq = int(result["applied_seq"])
             delivered = max(delivered, len(pending))
-            self.stats["shipped"] += len(pending)
+            self._m_shipped.inc(len(pending))
         self._trim(shard_id)
         self._publish_lag_gauge(shard_id)
         return delivered
@@ -234,7 +237,7 @@ class ShardReplicator:
         if pending:
             result = replica.handle.call("replicate", {"entries": pending})
             replica.acked_seq = int(result["applied_seq"])
-            self.stats["shipped"] += len(pending)
+            self._m_shipped.inc(len(pending))
         if replica.acked_seq < log.last_seq:
             raise ShardError(
                 f"shard {shard_id} replica caught up only to seq "

@@ -106,7 +106,6 @@ class ShardWorker:
             path=config.get("wal_path"),
             sync_policy=config.get("sync_policy", "commit"),
             group_commit_size=int(config.get("group_commit_size", 1)),
-            metrics_enabled=bool(config.get("metrics_enabled", True)),
             faults=self.faults,
         )
         self.broker = QueueBroker(

@@ -5,10 +5,11 @@ import gc
 import pytest
 
 from repro.clock import SimulatedClock
+from repro.db import Database
 from repro.obs.metrics import (
-    NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
+    Counter,
     MetricsRegistry,
     aggregate_counters,
     metric_key,
@@ -115,9 +116,14 @@ class TestHistogram:
 
 
 class TestDisabledRegistry:
-    def test_hands_out_shared_null_instruments(self):
+    def test_hands_out_private_counters_and_null_gauges(self):
+        # Disabled means unpublished, not uncounted: each caller gets
+        # its own live Counter; gauges and histograms stay shared no-ops.
         registry = MetricsRegistry(enabled=False)
-        assert registry.counter("c") is NULL_COUNTER
+        first, second = registry.counter("c"), registry.counter("c")
+        assert type(first) is Counter and first is not second
+        first.inc(3)
+        assert first.value == 3 and second.value == 0
         assert registry.gauge("g") is NULL_GAUGE
         assert registry.histogram("h") is NULL_HISTOGRAM
 
@@ -190,6 +196,23 @@ class TestProcessAggregate:
         reset_aggregate()
         assert aggregate_counters().get("will.be.reset", 0) == 0
 
+    def test_reset_writes_no_live_counter(self):
+        # The reset is a baseline the aggregate subtracts: a live
+        # database's snapshot and its .stats views keep their counts.
+        from repro.queues import Message, QueueTable
+
+        db = Database(clock=SimulatedClock(start=0.0))
+        queue = QueueTable(db, "q")
+        for i in range(3):
+            queue.enqueue(Message(payload={"i": i}))
+        reset_aggregate()
+        published = db.metrics()["counters"]["queue.enqueued{queue=q}"]
+        assert published == queue.stats["enqueued"] == 3
+        by_key = aggregate_counters(by_name=False)
+        assert by_key.get("queue.enqueued{queue=q}", 0) == 0
+        queue.enqueue(Message(payload={"i": 3}))
+        assert aggregate_counters(by_name=False)["queue.enqueued{queue=q}"] == 1
+
 
 class TestMergeSnapshots:
     """Folding per-process registry snapshots (the shard fleet path)."""
@@ -259,6 +282,6 @@ class TestMergeSnapshots:
         _, snap_b = self._snapshots()
         absorb_snapshot(snap_b)
         totals = aggregate_counters(by_name=True)
-        # 5 + 2 from the absorbed remote snapshot (plus the live
-        # registry's own 7+... is excluded: reset_aggregate zeroed it).
+        # 5 + 2 from the absorbed remote snapshot, plus the registries
+        # _snapshots built after the reset.
         assert totals["queue.enqueued"] >= 7
