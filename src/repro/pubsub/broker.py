@@ -4,7 +4,9 @@ Local message consumption per §2.2.d.i: durable subscribers' events are
 spooled in database-backed queues; when a subscriber attaches a
 listener the broker *activates* it — drains its backlog and then
 invokes it inline for each new delivery, exactly the "message store may
-have to activate applications as needed" behaviour.
+have to activate applications as needed" behaviour.  Drains and
+:meth:`PubSubBroker.fetch` end in the settle body every queue consumer
+shares (:mod:`repro.queues.settle`).
 """
 
 from __future__ import annotations
@@ -15,16 +17,21 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import PubSubError
 from repro.events import KIND_DATA, Event
 from repro.faults import PUBSUB_CONSUMER
+from repro.obs.metrics import Counter
 from repro.obs.trace import record_hop
 from repro.pubsub.subscription import Callback, SubscriptionMatcher, TopicSubscription
 from repro.pubsub.topic import Topic
 from repro.queues.broker import QueueBroker
 from repro.queues.message import Message
+from repro.queues.settle import Settler
 from repro.rules.engine import event_context
 from repro.rules.rule import pattern_matches
 
 if TYPE_CHECKING:
     from repro.db.database import Database
+
+#: Spooled messages a durable drain takes per ``consume_batch``.
+DRAIN_BATCH = 64
 
 
 def _event_to_payload(topic: str, event: Event) -> dict[str, Any]:
@@ -69,12 +76,23 @@ class PubSubBroker:
     (:class:`SubscriptionMatcher`); a publish evaluates only the
     candidates the index admits and delivers in subscription
     registration order, which callbacks can observe.
+
+    Durable subscriptions spool through ``queues``: a ``QueueBroker``
+    over ``db`` unless another broker with its surface is given.  The
+    sharded form is ``PubSubBroker(fleet.engine,
+    queues=ShardedQueueBroker(fleet))``: topics, matching, callbacks and
+    counters stay in the coordinator process (``fleet.engine.obs``), and
+    each ``sub_<name>`` spool lives on the shard its name hashes to.
     """
 
-    def __init__(self, db: Database, *, name: str = "pubsub") -> None:
+    def __init__(
+        self, db: Database, *, name: str = "pubsub", queues: Any = None
+    ) -> None:
         self.db = db
         self.name = name
-        self.queues = QueueBroker(db, name=f"{name}-queues")
+        self.queues = (
+            queues if queues is not None else QueueBroker(db, name=f"{name}-queues")
+        )
         self._matcher = SubscriptionMatcher()
         self._listeners: dict[str, Callback] = {}
         obs = db.obs
@@ -129,10 +147,8 @@ class PubSubBroker:
             callback=callback,
         )
         if durable:
-            queue_name = f"sub_{subscriber.lower()}"
-            if not self.queues.has_queue(queue_name):
-                self.queues.create_queue(queue_name)
-            subscription.queue_name = queue_name
+            subscription.queue_name = f"sub_{subscriber.lower()}"
+            self.queues.create_queue_or_attach(subscription.queue_name)
         self._matcher.add(subscription)
         # Retained state for late durable/callback subscribers.
         for topic in self._matcher.topics.values():
@@ -246,44 +262,52 @@ class PubSubBroker:
     def detach_listener(self, subscriber: str) -> None:
         self._listeners.pop(subscriber, None)
 
+    def _settler(self, subscription: TopicSubscription) -> Settler:
+        """A spool's settle policy: no dead letters, no retry hop."""
+        return Settler(
+            self.queues,
+            subscription.queue_name,
+            subscription.subscriber,
+            self.db.clock,
+            self._m_delivered,
+            Counter(),  # a requeue counts as queue.requeued only
+            Counter(),
+            "pubsub.deliver",
+            labels={"broker": self.name, "subscriber": subscription.subscriber},
+        )
+
     def _drain(self, subscription: TopicSubscription, callback: Callback) -> int:
+        """Deliver the spool's backlog to ``callback``, ``DRAIN_BATCH``
+        messages per consume.  A raising callback is counted, its message
+        and the untried rest of the batch are requeued, and the exception
+        re-raises (the activation contract)."""
+        settler = self._settler(subscription)
         drained = 0
         while True:
-            message = self.queues.consume(
-                subscription.queue_name, principal=subscription.subscriber
-            )
-            if message is None:
-                return drained
-            event = _payload_to_event(message.payload)
-            try:
-                self._fire_consumer_failpoint(subscription, event)
-                callback(event)
-            except Exception as exc:
-                # The raising callback is accounted for before the
-                # message is requeued and the exception re-raised to the
-                # caller (the activation contract): the failure is never
-                # invisible even if the caller swallows it.
-                self.db.obs.record_error("pubsub.drain", exc)
-                self.queues.requeue(
-                    subscription.queue_name,
-                    message.message_id,
-                    principal=subscription.subscriber,
-                )
-                raise
-            self.queues.ack(
+            messages = self.queues.consume_batch(
                 subscription.queue_name,
-                message.message_id,
+                DRAIN_BATCH,
                 principal=subscription.subscriber,
             )
-            self._m_delivered.inc()
-            record_hop(
-                event.trace_id,
-                "pubsub.deliver",
-                self.db.clock.now(),
-                broker=self.name,
-                subscriber=subscription.subscriber,
-            )
-            drained += 1
+            for index, message in enumerate(messages):
+                event = _payload_to_event(message.payload)
+                try:
+                    self._fire_consumer_failpoint(subscription, event)
+                    callback(event)
+                except Exception as exc:
+                    # Accounted for before the requeue, so the failure is
+                    # never invisible even if the caller swallows it.
+                    self.db.obs.record_error("pubsub.drain", exc)
+                    settler.settle(
+                        messages,
+                        dict.fromkeys(
+                            [m.message_id for m in messages[index:]], str(exc)
+                        ),
+                    )
+                    raise
+            drained += len(settler.settle(messages))
+            if len(messages) < DRAIN_BATCH:
+                return drained
 
     def _fire_consumer_failpoint(
         self, subscription: TopicSubscription, event: Event
@@ -305,27 +329,14 @@ class PubSubBroker:
         subscription = self.subscription(subscriber)
         if not subscription.durable:
             raise PubSubError("fetch applies to durable subscriptions only")
-        message = self.queues.consume(
-            subscription.queue_name, principal=subscriber
+        messages = self.queues.consume_batch(
+            subscription.queue_name, 1, principal=subscriber
         )
-        if message is None:
-            return None
-        self.queues.ack(
-            subscription.queue_name, message.message_id, principal=subscriber
-        )
-        self._m_delivered.inc()
-        event = _payload_to_event(message.payload)
-        record_hop(
-            event.trace_id,
-            "pubsub.deliver",
-            self.db.clock.now(),
-            broker=self.name,
-            subscriber=subscriber,
-        )
-        return event
+        self._settler(subscription).settle(messages)
+        return _payload_to_event(messages[0].payload) if messages else None
 
     def backlog(self, subscriber: str) -> int:
         subscription = self.subscription(subscriber)
         if not subscription.durable:
             return 0
-        return self.queues.queue(subscription.queue_name).depth()
+        return self.queues.depth(subscription.queue_name)

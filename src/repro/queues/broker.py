@@ -102,6 +102,10 @@ class QueueBroker:
     def queue_names(self) -> list[str]:
         return sorted(self._queues)
 
+    def depth(self, name: str) -> int:
+        """READY messages in queue ``name``."""
+        return self.queue(name).depth()
+
     def drop_queue(self, name: str) -> None:
         queue = self.queue(name)
         self.db.drop_table(queue.table_name)

@@ -13,9 +13,10 @@ Delivery is *reliable*: a message is acked on the source only after
 every destination accepted it; failed deliveries requeue the message
 with capped exponential backoff and deterministic jitter (see
 :meth:`Propagator.backoff_for`), and messages that exhaust
-``max_attempts`` move to the dead-letter queue.  Duplicate suppression at the
-destination uses the source message id carried in headers, giving
-effective exactly-once across retries.
+``max_attempts`` move to the dead-letter queue — the settle body of
+:mod:`repro.queues.settle`, which every queue consumer shares.
+Duplicate suppression at the destination uses the source message id
+carried in headers, giving effective exactly-once across retries.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from repro.errors import PropagationError
-from repro.obs.trace import record_hop
 from repro.queues.broker import QueueBroker
-from repro.queues.message import Message
+from repro.queues.message import Message, MessageState
+from repro.queues.settle import Settler
 
 
 class BoundedIdWindow:
@@ -135,30 +136,35 @@ class Propagator:
     ) -> None:
         self.broker = broker
         self.source_queue = source_queue
-        self.max_attempts = max_attempts
         self.base_backoff = base_backoff
         self.max_backoff = max_backoff
         self.links: list[PropagationLink] = []
-        self.dead_letter_queue = dead_letter_queue
-        if dead_letter_queue and not broker.has_queue(dead_letter_queue):
-            broker.create_queue(dead_letter_queue)
+        if dead_letter_queue:
+            broker.create_queue_or_attach(dead_letter_queue)
         # Per-link duplicate suppression across retries.  Bounded: ids
-        # are dropped once their message is resolved (see _resolve), and
+        # are dropped once their message is resolved (see pump), and
         # dedup_window caps whatever retry limbo remains.
         self.dedup_window = dedup_window
         self._delivered_ids: dict[str, BoundedIdWindow] = {}
         obs = broker.db.obs
-        self._clock = broker.db.clock
         self.stats = obs.view(
             "prop", "forwarded", "retried", "dead_lettered", source=source_queue
         )
-        self._m_forwarded, self._m_retried, self._m_dead = (
-            self.stats.counters.values()
-        )
         self._m_attempts = obs.counter("prop.attempts", source=source_queue)
-        # Source-enqueue → fully-forwarded latency, in clock seconds.
-        self._m_hop_latency = obs.histogram(
-            "prop.hop_latency", source=source_queue
+        self._settler = Settler(
+            broker,
+            source_queue,
+            "propagator",
+            broker.db.clock,
+            *self.stats.counters.values(),
+            "propagate.forwarded",
+            "propagate.retry",
+            "propagate.dead_letter",
+            labels={"source": source_queue},
+            max_attempts=max_attempts,
+            dead_letter_queue=dead_letter_queue,
+            # Source-enqueue → fully-forwarded latency, in clock seconds.
+            latency=obs.histogram("prop.hop_latency", source=source_queue),
         )
 
     def add_link(self, link: PropagationLink) -> "Propagator":
@@ -188,53 +194,37 @@ class Propagator:
 
     def pump(self, *, batch: int = 100) -> int:
         """Drain up to ``batch`` messages: dequeue them in one
-        transaction, forward each, then ack every fully delivered
-        message with ONE batch ack — one commit and journal flush per
-        batch instead of per message.  Failed messages requeue (or
-        dead-letter) individually.  Returns how many were fully
-        delivered (acked at the source).
+        transaction, forward each, then settle the batch
+        (:meth:`Settler.settle`): every fully delivered message is acked
+        with ONE batch ack, each failure is requeued after
+        :meth:`backoff_for` or, from ``max_attempts`` on, dead-lettered.
+        Returns how many were fully delivered (acked at the source).
         """
         if not self.links:
             raise PropagationError("propagator has no links configured")
         messages = self.broker.consume_batch(
             self.source_queue, batch, principal="propagator"
         )
-        delivered = [message for message in messages if self._forward(message)]
-        if delivered:
-            self.broker.ack_batch(
-                self.source_queue,
-                [message.message_id for message in delivered],
-                principal="propagator",
-            )
-            for message in delivered:
-                self._mark_forwarded(message)
-        return len(delivered)
+        failed: dict[int, str] = {}
+        for message in messages:
+            reason = self._forward(message)
+            if reason is not None:
+                failed[message.message_id] = reason
+        try:
+            return len(self._settler.settle(messages, failed, delay=self.backoff_for))
+        finally:
+            # An acked message (forwarded or dead-lettered) is never
+            # dequeued again: evict its duplicate-suppression ids.
+            for message in messages:
+                if message.state is MessageState.CONSUMED:
+                    for window in self._delivered_ids.values():
+                        window.discard(message.message_id)
 
-    def _mark_forwarded(self, message: Message) -> None:
-        """Success accounting, after the source ack.
-
-        A fully forwarded message can never be re-dequeued, so its
-        duplicate-suppression ids are evicted from every link window
-        (the fix for the former unbounded ``_delivered_ids`` growth).
-        """
-        self._m_forwarded.inc()
-        for window in self._delivered_ids.values():
-            window.discard(message.message_id)
-        now = self._clock.now()
-        if message.enqueued_at:
-            self._m_hop_latency.observe(now - message.enqueued_at)
-        record_hop(
-            message.headers.get("trace_id"),
-            "propagate.forwarded",
-            now,
-            source=self.source_queue,
-        )
-
-    def _forward(self, message: Message) -> bool:
+    def _forward(self, message: Message) -> str | None:
         """Send ``message`` down every link that has not taken it yet.
-        True when all links now have it (the pump acks it); otherwise
-        the message is requeued with backoff, or dead-lettered."""
-        failures: list[tuple[PropagationLink, Exception]] = []
+        Returns why it failed on some link, or None when all links now
+        have it."""
+        failures: list[str] = []
         for link in self.links:
             seen = self._delivered_ids[link.name]
             if message.message_id in seen:
@@ -245,61 +235,5 @@ class Propagator:
                 seen.add(message.message_id)
             except Exception as exc:  # failure boundary around foreign code
                 link.failed += 1
-                failures.append((link, exc))
-        if not failures:
-            return True
-        if message.attempts >= self.max_attempts:
-            self._dead_letter(message, failures)
-            return False
-        backoff = self.backoff_for(message.message_id, message.attempts)
-        self.broker.requeue(
-            self.source_queue,
-            message.message_id,
-            delay=backoff,
-            principal="propagator",
-        )
-        self._m_retried.inc()
-        record_hop(
-            message.headers.get("trace_id"),
-            "propagate.retry",
-            self._clock.now(),
-            source=self.source_queue,
-            attempts=message.attempts,
-            delay=backoff,
-        )
-        return False
-
-    def _dead_letter(
-        self, message: Message, failures: list[tuple[PropagationLink, Exception]]
-    ) -> None:
-        self._m_dead.inc()
-        # A dead-lettered message is resolved: evict its dedup ids.
-        for window in self._delivered_ids.values():
-            window.discard(message.message_id)
-        record_hop(
-            message.headers.get("trace_id"),
-            "propagate.dead_letter",
-            self._clock.now(),
-            source=self.source_queue,
-            dlq=self.dead_letter_queue,
-        )
-        if self.dead_letter_queue:
-            dead = Message(
-                payload=message.payload,
-                priority=message.priority,
-                correlation_id=message.correlation_id,
-                headers={
-                    **message.headers,
-                    "dead_letter_reason": "; ".join(
-                        f"{link.name}: {exc}" for link, exc in failures
-                    ),
-                    "origin_queue": message.queue,
-                    "origin_message_id": message.message_id,
-                },
-            )
-            self.broker.publish(
-                self.dead_letter_queue, dead, principal="propagator"
-            )
-        self.broker.ack(
-            self.source_queue, message.message_id, principal="propagator"
-        )
+                failures.append(f"{link.name}: {exc}")
+        return "; ".join(failures) or None

@@ -17,12 +17,14 @@ Layering (bottom-up):
   primary→replica log shipping.
 * :mod:`repro.shard.supervisor` — heartbeat probing, failure
   classification, backed-off restarts, circuit breaking, promotion.
-* :mod:`repro.shard.broker` — :class:`ShardedQueueBroker` /
-  :class:`ShardedPubSubBroker`, the single-process broker APIs routed
-  over the fleet, with caller-selectable degradation policies.
+* :mod:`repro.shard.broker` — :class:`ShardedQueueBroker`, the
+  single-process queue broker API routed over the fleet, with
+  caller-selectable degradation policies.  Sharded pub/sub is
+  :class:`~repro.pubsub.broker.PubSubBroker` over a
+  :class:`ShardedQueueBroker`.
 """
 
-from repro.shard.broker import ShardedPubSubBroker, ShardedQueueBroker
+from repro.shard.broker import ShardedQueueBroker
 from repro.shard.coordinator import FleetView, ShardCoordinator, WorkerHandle
 from repro.shard.hashring import ShardMap, ShardRouter, stable_hash
 from repro.shard.replication import ReplicaState, ReplicationLog, ShardReplicator
@@ -49,7 +51,6 @@ __all__ = [
     "WorkerHandle",
     "FleetView",
     "ShardedQueueBroker",
-    "ShardedPubSubBroker",
     "ShardSupervisor",
     "ShardHealth",
     "BREAKER_CLOSED",

@@ -1,14 +1,16 @@
-"""Sharded facades over the queue and pub/sub broker APIs.
+"""A sharded facade over the queue broker API.
 
-:class:`ShardedQueueBroker` and :class:`ShardedPubSubBroker` present
-the single-process broker surface while executing against a
+:class:`ShardedQueueBroker` presents the single-process broker surface
+while executing against a
 :class:`~repro.shard.coordinator.ShardCoordinator`'s worker fleet.  A
-queue (or durable-subscription spool) lives *entirely* on the shard its
-name hashes to, so every single-queue operation is one local
-transaction on one worker — the paper's queue semantics are untouched;
-only placement changed.  The one genuinely distributed operation,
-:meth:`ShardedQueueBroker.publish_atomic` across queues on different
-shards, runs the 2PC protocol.
+queue lives *entirely* on the shard its name hashes to, so every
+single-queue operation is one local transaction on one worker — the
+paper's queue semantics are untouched; only placement changed.  The one
+genuinely distributed operation, :meth:`ShardedQueueBroker.publish_atomic`
+across queues on different shards, runs the 2PC protocol.  Sharded
+pub/sub is :class:`~repro.pubsub.broker.PubSubBroker` over a
+:class:`ShardedQueueBroker`: each durable-subscription spool lands on
+the shard its name hashes to.
 
 Error fidelity: worker-side exceptions come back over the wire as
 ``(kind, message)``; the facade re-raises the matching
@@ -18,7 +20,7 @@ what the local brokers would have raised.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro import errors as errors_module
 from repro.errors import (
@@ -28,10 +30,6 @@ from repro.errors import (
     ShardWorkerDied,
     ShardWorkerError,
 )
-from repro.events import Event
-from repro.pubsub.broker import _event_to_payload, _payload_to_event
-from repro.pubsub.subscription import SubscriptionMatcher, TopicSubscription
-from repro.pubsub.topic import Topic
 from repro.queues.message import Message
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.protocol import message_to_wire, wire_to_consumed
@@ -187,6 +185,11 @@ class ShardedQueueBroker:
             },
         )
         return self.router.shard_for(name)
+
+    def create_queue_or_attach(self, name: str, **options: Any) -> int:
+        """:meth:`create_queue`, which is already idempotent: the owning
+        worker attaches to a queue that exists."""
+        return self.create_queue(name, **options)
 
     def drop_queue(self, name: str) -> None:
         self._call(name, "drop_queue", {"name": name})
@@ -447,125 +450,3 @@ class ShardedQueueBroker:
 
     def metrics_by_shard(self) -> dict[int, dict[str, Any]]:
         return self.coordinator.metrics_by_shard()
-
-
-class ShardedPubSubBroker:
-    """Topic fan-out in the coordinator, durable spooling on the shards.
-
-    Topics and subscriptions live in the coordinator's
-    :class:`SubscriptionMatcher`, the same one :class:`PubSubBroker`
-    uses; what must scale — the per-subscriber durable spool traffic —
-    rides :class:`ShardedQueueBroker`, so each ``sub_<name>`` queue
-    lands on the shard its name hashes to and publishes to disjoint
-    subscribers batch per shard.
-    """
-
-    def __init__(self, coordinator: ShardCoordinator, *, name: str = "pubsub") -> None:
-        self.name = name
-        self.queues = ShardedQueueBroker(coordinator)
-        self._matcher = SubscriptionMatcher()
-        # PubSubBroker's counters, on the coordinator's registry.
-        self.stats = coordinator.engine.obs.view(
-            "pubsub", "published", "spooled", "delivered", broker=name
-        )
-        self._m_published, self._m_spooled, self._m_delivered = (
-            self.stats.counters.values()
-        )
-
-    # -- topics / subscriptions ---------------------------------------------
-
-    def create_topic(self, name: str, *, retain: bool = False) -> Topic:
-        return self._matcher.create_topic(name, retain=retain)
-
-    def topic(self, name: str) -> Topic:
-        return self._matcher.topic(name)
-
-    def subscribe(self, subscriber: str, topic_pattern: str) -> str:
-        """Register a durable subscription; returns its spool queue
-        name.  (Nondurable inline callbacks don't cross process
-        boundaries — durable spooling is the sharded mode.)"""
-        self._matcher.check_vacant(subscriber)
-        subscription = TopicSubscription.build(subscriber, topic_pattern, durable=True)
-        subscription.queue_name = f"sub_{subscriber.lower()}"
-        self.queues.create_queue(subscription.queue_name)
-        self._matcher.add(subscription)
-        return subscription.queue_name
-
-    def unsubscribe(self, subscriber: str) -> None:
-        self._matcher.remove(subscriber)
-
-    # -- publish ------------------------------------------------------------
-
-    def publish(self, topic_name: str, event: Event) -> int:
-        return self.publish_events(topic_name, [event])
-
-    def publish_events(self, topic_name: str, events: list[Event]) -> int:
-        """Fan a batch of events out to every matching durable spool —
-        grouped so each worker sees one frame per spool queue, shipped
-        as one pipelined scatter across shards.  Each event reaches its
-        subscribers in registration order."""
-        topic = self.topic(topic_name)
-        entries: list[tuple[str, Message]] = []
-        for event in events:
-            topic.record(event)
-            self._m_published.inc()
-            entries.extend(
-                (
-                    subscription.queue_name,
-                    Message(payload=_event_to_payload(topic.name, event)),
-                )
-                for subscription in self._matcher.match(topic.name, event)
-            )
-        if entries:
-            self.queues.publish_many(entries, principal="internal")
-            self._m_spooled.inc(len(entries))
-        return len(entries)
-
-    # -- consume ------------------------------------------------------------
-
-    def _spool(self, subscriber: str) -> str:
-        return self._matcher.subscription(subscriber).queue_name
-
-    def fetch(self, subscriber: str) -> Event | None:
-        queue_name = self._spool(subscriber)
-        message = self.queues.consume(queue_name, principal=subscriber)
-        if message is None:
-            return None
-        self.queues.ack(
-            queue_name, message.message_id, principal=subscriber
-        )
-        self._m_delivered.inc()
-        return _payload_to_event(message.payload)
-
-    def drain(
-        self, subscriber: str, callback: Callable[[Event], Any], *, batch: int = 64
-    ) -> int:
-        """Consume the whole backlog through ``callback`` in batches
-        (ack after each successful callback; a raising callback requeues
-        its event and re-raises, like the local activation contract)."""
-        queue_name = self._spool(subscriber)
-        drained = 0
-        while True:
-            messages = self.queues.consume_batch(
-                queue_name, batch, principal=subscriber
-            )
-            if not messages:
-                return drained
-            acked: list[int] = []
-            try:
-                for message in messages:
-                    callback(_payload_to_event(message.payload))
-                    acked.append(message.message_id)
-            finally:
-                if acked:
-                    self.queues.ack_batch(queue_name, acked, principal=subscriber)
-                    self._m_delivered.inc(len(acked))
-                    drained += len(acked)
-                for message in messages:
-                    if message.message_id not in acked:
-                        self.queues.requeue(
-                            queue_name, message.message_id, principal=subscriber
-                        )
-
-    def backlog(self, subscriber: str) -> int:
-        return self.queues.depth(self._spool(subscriber))

@@ -333,16 +333,15 @@ def test_views_refuse_writes():
 
 @pytest.mark.shard
 def test_sharded_pubsub_and_replication_count_on_the_coordinator():
-    from repro.shard import ShardCoordinator, ShardedPubSubBroker
+    from repro.shard import ShardCoordinator, ShardedQueueBroker
 
     with ShardCoordinator(1, replication_factor=1, timeout=20.0) as fleet:
-        pubsub = ShardedPubSubBroker(fleet)
+        pubsub = PubSubBroker(fleet.engine, queues=ShardedQueueBroker(fleet))
         pubsub.create_topic("sensor")
-        pubsub.subscribe("alice", "sensor")
-        pubsub.publish_events(
-            "sensor", [Event("reading", float(i), {"v": i}) for i in range(3)]
-        )
-        assert pubsub.drain("alice", lambda event: None) == 3
+        pubsub.subscribe("alice", "sensor", durable=True)
+        for i in range(3):
+            pubsub.publish("sensor", Event("reading", float(i), {"v": i}))
+        assert pubsub.attach_listener("alice", lambda event: None) == 3
         assert pubsub.stats == {"published": 3, "spooled": 3, "delivered": 3}
         counters = fleet.engine.obs.snapshot()["counters"]
         check(

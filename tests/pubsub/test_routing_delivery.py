@@ -3,8 +3,9 @@
 import pytest
 
 from repro.db import Database
-from repro.errors import DeliveryError, RoutingError
+from repro.errors import DeliveryError, FaultInjectedError, RoutingError
 from repro.events import Event
+from repro.faults import BROKER_PUBLISH, FaultInjector, on_hit, raise_fault
 from repro.pubsub import DeliveryManager, PubSubBroker, Router, StagingTopology
 from repro.queues import QueueBroker
 
@@ -228,3 +229,39 @@ class TestDeliveryManager:
         assert manager.stats["dead_lettered"] == 1
         # The delivery manager is healthy afterwards: nothing pending.
         assert manager.deliver() is None
+
+    def test_failed_dead_letter_publish_settles_the_rest(self, clock):
+        """Regression: one failed dead-letter publish left the rest of
+        the batch unconsumed, the failed message LOCKED with no pending
+        entry, and the deadline sweep dead-lettering the others."""
+        injector = FaultInjector()
+        broker = QueueBroker(Database(clock=clock, faults=injector))
+        broker.create_queue("work")
+        manager = DeliveryManager(
+            broker, "work", ack_timeout=5, max_attempts=1, dead_letter_queue="dead"
+        )
+        assert broker.publish_batch("work", [1, 2, 3]) == [1, 2, 3]
+        consumed = []
+
+        def consumer(message):
+            if message.payload == 2:
+                raise ValueError("cannot process")
+            consumed.append(message.payload)
+
+        injector.arm(BROKER_PUBLISH, raise_fault("dlq down"), policy=on_hit(1))
+        with pytest.raises(FaultInjectedError):
+            manager.process_batch(consumer)
+        assert consumed == [1, 3]
+        # Message 2 is still pending: LOCKED until the deadline sweep
+        # settles it again.
+        left = list(broker.queue("work").browse(include_locked=True))
+        assert [m.message_id for m in left] == [2]
+        assert manager.process_batch(consumer) == 0
+        assert broker.queue("dead").depth() == 0
+        clock.advance(10.0)
+        assert manager.process_batch(consumer) == 0
+        assert consumed == [1, 3]
+        dead = [m.headers["origin_message_id"] for m in broker.queue("dead").browse()]
+        assert dead == [2]
+        assert list(broker.queue("work").browse(include_locked=True)) == []
+        assert manager.stats["dead_lettered"] == 1

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import PropagationError
+from repro.db import Database
+from repro.errors import FaultInjectedError, PropagationError
+from repro.faults import BROKER_PUBLISH, FaultInjector, on_hit, raise_fault
 from repro.queues import (
     Message,
+    MessageState,
     PropagationLink,
     Propagator,
     QueueBroker,
@@ -310,3 +313,41 @@ class TestPumpAccounting:
         assert stats["forwarded"] == len(service.received)
         assert stats["dead_lettered"] == broker.queue("dlq").depth()
         assert stats["forwarded"] + stats["dead_lettered"] == 20
+
+
+class TestFailedDeadLetterPublish:
+    """Regression: one failed dead-letter publish stranded the whole
+    batch LOCKED, and no later pump ever released it."""
+
+    def test_the_rest_of_the_batch_is_settled(self, clock):
+        injector = FaultInjector()
+        broker = QueueBroker(Database(clock=clock, faults=injector))
+        broker.create_queue("outbox")
+
+        class RejectsTwo:
+            def __init__(self):
+                self.received = []
+
+            def deliver(self, message):
+                if message.payload == 2:
+                    raise ConnectionError("rejected")
+                self.received.append(message.payload)
+
+        service = RejectsTwo()
+        propagator = Propagator(
+            broker, "outbox", max_attempts=1, dead_letter_queue="dlq"
+        ).add_link(PropagationLink("svc", service=service))
+        assert broker.publish_batch("outbox", [1, 2, 3]) == [1, 2, 3]
+        injector.arm(BROKER_PUBLISH, raise_fault("dlq down"), policy=on_hit(1))
+        with pytest.raises(FaultInjectedError):
+            propagator.pump()
+        assert service.received == [1, 3]
+        assert propagator.stats["forwarded"] == 2
+        # The message whose dead letter failed is retryable, not LOCKED.
+        left = list(broker.queue("outbox").browse(include_locked=True))
+        assert [(m.message_id, m.state) for m in left] == [(2, MessageState.READY)]
+        assert propagator.pump() == 0  # the next pump dead-letters it
+        dead = [m.headers["origin_message_id"] for m in broker.queue("dlq").browse()]
+        assert dead == [2]
+        assert list(broker.queue("outbox").browse(include_locked=True)) == []
+        assert propagator.stats["dead_lettered"] == 1

@@ -16,10 +16,10 @@ from repro.errors import (
     ShardWorkerDied,
 )
 from repro.events import Event
+from repro.pubsub import PubSubBroker
 from repro.queues.message import Message
 from repro.shard import (
     ShardCoordinator,
-    ShardedPubSubBroker,
     ShardedQueueBroker,
     ShardMap,
 )
@@ -185,33 +185,69 @@ class TestCrossShardAtomicity:
 
 
 class TestShardedPubSub:
+    """Sharded pub/sub is ``PubSubBroker`` spooling through a
+    ``ShardedQueueBroker``."""
+
+    def pubsub(self, fleet):
+        return PubSubBroker(fleet.engine, queues=ShardedQueueBroker(fleet))
+
     def test_fanout_spools_and_drains(self, fleet):
-        pubsub = ShardedPubSubBroker(fleet)
+        pubsub = self.pubsub(fleet)
         pubsub.create_topic("sensor.temp")
-        pubsub.subscribe("alice", "sensor.*")
-        pubsub.subscribe("bob", "sensor.temp")
+        pubsub.subscribe("alice", "sensor.*", durable=True)
+        pubsub.subscribe("bob", "sensor.temp", durable=True)
         events = [
             Event(event_type="reading", timestamp=float(i), payload={"v": i})
             for i in range(6)
         ]
-        assert pubsub.publish_events("sensor.temp", events) == 12
+        assert sum(pubsub.publish("sensor.temp", event) for event in events) == 12
         assert pubsub.backlog("alice") == 6
         seen: list[int] = []
-        assert pubsub.drain("alice", lambda e: seen.append(e.payload["v"])) == 6
+        assert pubsub.attach_listener("alice", lambda e: seen.append(e["v"])) == 6
         assert seen == list(range(6))
         assert pubsub.backlog("alice") == 0
         assert pubsub.fetch("bob").payload == {"v": 0}
         assert pubsub.backlog("bob") == 5
 
     def test_non_matching_topic_spools_nothing(self, fleet):
-        pubsub = ShardedPubSubBroker(fleet)
+        pubsub = self.pubsub(fleet)
         pubsub.create_topic("other.topic")
-        pubsub.subscribe("alice", "sensor.*")
+        pubsub.subscribe("alice", "sensor.*", durable=True)
         assert pubsub.publish(
             "other.topic",
             Event(event_type="x", timestamp=1.0, payload={}),
         ) == 0
         assert pubsub.backlog("alice") == 0
+
+    def test_raising_listener_requeues_the_rest_of_its_batch(self, fleet):
+        pubsub = self.pubsub(fleet)
+        pubsub.create_topic("sensor")
+        pubsub.subscribe("alice", "sensor", durable=True)
+        for i in range(4):
+            pubsub.publish("sensor", Event("reading", float(i), {"v": i}))
+        seen: list[int] = []
+
+        def crash_on_two(event):
+            if event.payload["v"] == 2:
+                raise RuntimeError("listener crash")
+            seen.append(event.payload["v"])
+
+        with pytest.raises(RuntimeError):
+            pubsub.attach_listener("alice", crash_on_two)
+        pubsub.detach_listener("alice")
+        assert seen == [0, 1]
+        assert pubsub.backlog("alice") == 2
+        assert fleet.engine.obs.errors_suppressed("pubsub.drain") == 1
+        assert pubsub.attach_listener("alice", lambda e: seen.append(e["v"])) == 2
+        assert seen == [0, 1, 2, 3]
+
+    def test_nondurable_callbacks_run_in_the_coordinator(self, fleet):
+        pubsub = self.pubsub(fleet)
+        pubsub.create_topic("sensor")
+        inbox: list[Event] = []
+        pubsub.subscribe("inline", "sensor", callback=inbox.append)
+        assert pubsub.publish("sensor", Event("reading", 1.0, {"v": 1})) == 1
+        assert [event.payload for event in inbox] == [{"v": 1}]
 
 
 class TestWorkerDeath:
