@@ -11,8 +11,9 @@ Performance claims:
 * checkpoints bound recovery time: after a checkpoint, redo work is
   proportional to the post-checkpoint suffix, not history;
 * file-backed recovery (parse + CRC verify + redo) stays linear in the
-  WAL byte size, and the checksummed v2 framing costs a small constant
-  factor of journal bytes (reported as ``framing_overhead_pct``);
+  WAL byte size, for full-image (v2) and delta (v3) journals alike, and
+  the checksummed framing costs a small constant factor of journal
+  bytes (reported as ``framing_overhead_pct``);
 * a torn tail adds only the classification scan — recovery after a
   mid-append crash is not pathologically slower than a clean restart.
 
@@ -35,6 +36,7 @@ except ImportError:
 
 from repro.clock import SimulatedClock
 from repro.db import Database
+from repro.db.wal import WAL_FORMAT_VERSION, WAL_MAGIC
 from repro.errors import FaultInjectedError, TornTailWarning
 from repro.faults import WAL_TORN_WRITE, FaultInjector, on_hit, torn_write
 from repro.queues import QueueBroker
@@ -93,10 +95,19 @@ def run_experiment(op_counts=OP_COUNTS) -> list[dict]:
 
 
 def loaded_file_database(
-    path: str, ops: int, *, faults: FaultInjector | None = None
+    path: str,
+    ops: int,
+    *,
+    faults: FaultInjector | None = None,
+    version: int = WAL_FORMAT_VERSION,
 ) -> Database:
     """Seeded DML workload against an on-disk journal (sync per commit,
-    so the WAL holds one flush batch per transaction)."""
+    so the WAL holds one flush batch per transaction) of format
+    ``version``: a journal keeps the format of the file it attaches to,
+    so an older format starts from a file holding only its header."""
+    if version != WAL_FORMAT_VERSION:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(f"{WAL_MAGIC} {version}\n")
     db = Database(path=path, clock=SimulatedClock(), faults=faults)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     for i in range(ops):
@@ -108,36 +119,41 @@ def loaded_file_database(
 
 
 def run_file_experiment(op_counts=FILE_OP_COUNTS) -> list[dict]:
-    """Recovery time vs WAL *byte* size, plus the cost of the v2
-    checksummed framing relative to the bare JSON payloads."""
+    """Recovery time vs WAL *byte* size for the full-image (v2) and the
+    delta (v3) format, plus the cost of the checksummed framing
+    relative to the bare JSON payloads."""
     rows: list[dict] = []
     for ops in op_counts:
-        with tempfile.TemporaryDirectory() as workdir:
-            path = os.path.join(workdir, "journal.wal")
-            db = loaded_file_database(path, ops)
-            reference = {
-                rowid: row for rowid, row in db.catalog.table("t").scan()
-            }
-            wal_bytes = os.path.getsize(path)
-            payload_bytes = sum(
-                len(record.to_json().encode("utf-8")) + 1
-                for record in db.wal.records()
-            )
-            started = time.perf_counter()
-            reborn = Database(path=path, clock=SimulatedClock())
-            recovery_time = time.perf_counter() - started
-            recovered = {
-                rowid: row for rowid, row in reborn.catalog.table("t").scan()
-            }
-            assert recovered == reference, "file recovery must be exact"
-            rows.append({
-                "ops": ops,
-                "wal_kib": wal_bytes / 1024,
-                "journal_records": len(db.wal),
-                "framing_overhead_pct": 100 * (wal_bytes - payload_bytes) / payload_bytes,
-                "recovery_ms": 1000 * recovery_time,
-                "rows_recovered": len(recovered),
-            })
+        for version in (2, 3):
+            with tempfile.TemporaryDirectory() as workdir:
+                path = os.path.join(workdir, "journal.wal")
+                db = loaded_file_database(path, ops, version=version)
+                reference = {
+                    rowid: row for rowid, row in db.catalog.table("t").scan()
+                }
+                wal_bytes = os.path.getsize(path)
+                payload_bytes = sum(
+                    len(record.to_json(version).encode("utf-8")) + 1
+                    for record in db.wal.records()
+                )
+                started = time.perf_counter()
+                reborn = Database(path=path, clock=SimulatedClock())
+                recovery_time = time.perf_counter() - started
+                recovered = {
+                    rowid: row for rowid, row in reborn.catalog.table("t").scan()
+                }
+                assert recovered == reference, "file recovery must be exact"
+                assert reborn.wal.load_report.version == version
+                rows.append({
+                    "ops": ops,
+                    "format": f"v{version}",
+                    "wal_kib": wal_bytes / 1024,
+                    "journal_records": len(db.wal),
+                    "framing_overhead_pct": 100 * (wal_bytes - payload_bytes) / payload_bytes,
+                    "recovery_ms": 1000 * recovery_time,
+                    "records_per_s": len(db.wal) / recovery_time,
+                    "rows_recovered": len(recovered),
+                })
     return rows
 
 
@@ -273,9 +289,14 @@ def test_exp10_crash_during_consumption_loses_nothing():
 
 def test_exp10_file_recovery_shape():
     rows = run_file_experiment(op_counts=(300, 1_200))
-    by_ops = {row["ops"]: row for row in rows}
-    # Recovery work scales with WAL size...
-    assert by_ops[1_200]["wal_kib"] > 2 * by_ops[300]["wal_kib"]
+    by_arm = {(row["ops"], row["format"]): row for row in rows}
+    for version in ("v2", "v3"):
+        # Recovery work scales with WAL size...
+        assert by_arm[1_200, version]["wal_kib"] > 2 * by_arm[300, version]["wal_kib"]
+    # ...deltas write fewer bytes for the same records...
+    for ops in (300, 1_200):
+        assert by_arm[ops, "v3"]["wal_kib"] < by_arm[ops, "v2"]["wal_kib"]
+        assert by_arm[ops, "v3"]["journal_records"] == by_arm[ops, "v2"]["journal_records"]
     # ...and framing costs a bounded, small share of journal bytes.
     for row in rows:
         assert 0 < row["framing_overhead_pct"] < 25
@@ -294,14 +315,16 @@ def main(quick: bool = False) -> None:
         ["ops", "config", "journal_records", "recovery_ms", "rows_recovered"],
     )
     print_table(
-        "EXP-10b: file-backed recovery vs WAL size (v2 framing)",
+        "EXP-10b: file-backed recovery vs WAL size (v2 full images, v3 deltas)",
         run_file_experiment(op_counts=(200,) if quick else FILE_OP_COUNTS),
         [
             "ops",
+            "format",
             "wal_kib",
             "journal_records",
             "framing_overhead_pct",
             "recovery_ms",
+            "records_per_s",
             "rows_recovered",
         ],
     )

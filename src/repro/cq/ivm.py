@@ -179,22 +179,15 @@ class MaterializedView:
 
         Raises:
             StreamError: the journal no longer reaches back to
-                ``start_lsn`` (records after it were truncated away),
-                which would silently produce a view missing history.
+                ``start_lsn`` (records after it were truncated away, or
+                lie below a reopened v3 journal's checkpoint), which
+                would silently produce a view missing history.
         """
         if self._reader is not None:
             raise StreamError(f"view {self.name!r} is already table-bound")
         if start_lsn < 0:
             raise StreamError("start_lsn must be >= 0")
-        first_retained = db.wal.first_lsn
-        if start_lsn + 1 < first_retained:
-            raise StreamError(
-                f"view {self.name!r}: journal for table {table_name!r} no "
-                f"longer reaches back to LSN {start_lsn} — records before "
-                f"LSN {first_retained} were truncated (checkpoint log "
-                f"reclaim).  Re-bind with a checkpoint snapshot of the "
-                f"table and start_lsn >= {first_retained - 1}."
-            )
+        reader = db.journal_reader(start_lsn)  # refuses a start it cannot reach
         self._table = table_name.lower()
         if snapshot is not None:
             applied = self._apply_insert_batch(snapshot)
@@ -202,7 +195,7 @@ class MaterializedView:
                 self._m_deltas.inc(applied)
                 self._m_batches.inc()
                 self._version += 1
-        self._reader = db.journal_reader(start_lsn)
+        self._reader = reader
         backfill = self._reader.poll()
         if backfill:
             self._fold_records(backfill)

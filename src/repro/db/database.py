@@ -18,6 +18,7 @@ evaluation happen), not about fine-grained concurrency control.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.clock import Clock, WallClock
@@ -61,6 +62,7 @@ from repro.db.triggers import (
 )
 from repro.db.types import type_by_name
 from repro.db.wal import (
+    DML_OPS,
     OP_ABORT,
     OP_BEGIN,
     OP_CHECKPOINT,
@@ -70,8 +72,10 @@ from repro.db.wal import (
     OP_DELETE,
     OP_DROP_TABLE,
     OP_INSERT,
+    OP_ROLLBACK_TO,
     OP_UPDATE,
     JournalReader,
+    LogRecord,
     WriteAheadLog,
 )
 from repro.errors import (
@@ -137,12 +141,15 @@ class Connection:
     def savepoint(self, name: str) -> None:
         if self.transaction is None:
             raise TransactionError("SAVEPOINT requires an open transaction")
-        self.transaction.savepoint(name)
+        self.transaction.savepoint(name, self.db.wal.last_lsn)
 
     def rollback_to(self, name: str) -> None:
         if self.transaction is None:
             raise TransactionError("ROLLBACK TO requires an open transaction")
-        self.transaction.rollback_to_savepoint(name)
+        transaction = self.transaction
+        # Journal first: if the append fails, rows and journal still agree.
+        self.db._journal_rollback_to(transaction, transaction.savepoint_mark(name))
+        transaction.rollback_to_savepoint(name)
 
     def __enter__(self) -> "Connection":
         self.begin()
@@ -312,7 +319,10 @@ class Database:
         (self._m_inserts, self._m_updates, self._m_deletes, self._m_commits,
          self._m_rollbacks) = self.statistics.counters.values()
         if path and len(self.wal):
-            self._rebuild_from_records(self.wal.records(durable_only=True))
+            self._rebuild_from_records(
+                self.wal.records(durable_only=True),
+                deltas=self.wal.load_report.version >= 3,
+            )
 
     def metrics(self) -> dict[str, Any]:
         """One coherent observability snapshot for this database.
@@ -423,6 +433,15 @@ class Database:
         if not transaction.attributes.get("wrote"):
             transaction.attributes["wrote"] = True
             self.wal.append(transaction.txid, OP_BEGIN)
+
+    def _journal_rollback_to(self, transaction: Transaction, savepoint_lsn: int) -> None:
+        """Journal a ``ROLLBACK TO``: the transaction's records after
+        ``savepoint_lsn`` are void, so neither redo nor a journal reader
+        applies them once it commits."""
+        if transaction.attributes.get("wrote") and self.wal.last_lsn > savepoint_lsn:
+            self.wal.append(
+                transaction.txid, OP_ROLLBACK_TO, meta={"lsn": savepoint_lsn}
+            )
 
     # -- locking helpers ---------------------------------------------------------
 
@@ -994,7 +1013,8 @@ class Database:
         """A committed-changes cursor for journal-based event capture.
 
         By default the reader starts at the current journal tail, seeing
-        only changes made after its creation.
+        only changes made after its creation.  A ``start_lsn`` the
+        journal no longer reaches back to raises ``StreamError``.
         """
         if start_lsn is None:
             start_lsn = self.wal.last_lsn
@@ -1007,8 +1027,9 @@ class Database:
 
         Requires quiescence (no active transactions).  With
         ``truncate=True`` the journal prefix before the checkpoint is
-        reclaimed — journal readers positioned before it will miss
-        events, so only truncate once all miners have caught up.
+        reclaimed — journal readers positioned before it raise
+        ``StreamError`` at their next poll, so only truncate once all
+        miners have caught up.
         """
         if self.transactions.active_count:
             raise TransactionError(
@@ -1059,7 +1080,12 @@ class Database:
         records = self.wal.crash()
         self._rebuild_from_records(records)
 
-    def _rebuild_from_records(self, records: list[Any]) -> None:
+    def _rebuild_from_records(
+        self, records: list[LogRecord], *, deltas: bool = False
+    ) -> None:
+        """Rebuild every table from ``records``.  With ``deltas`` (they
+        were read from a v3 file) the journal then keeps only what redo
+        gave full images: the records from the newest checkpoint on."""
         plan = analyze(records)
         self.catalog = Catalog()
         self.locks = LockManager(timeout=self.locks._timeout)
@@ -1091,10 +1117,14 @@ class Database:
             self.transactions.set_next_txid(plan.max_txid + 1)
 
         skipped_triggers: list[str] = []
+        rebuilt: dict[int, LogRecord] = {}
         for record in plan.redo_records:
             verify_redo_record(record)
             try:
-                skipped = self._redo_one(record)
+                if record.op in DML_OPS:
+                    rebuilt[record.lsn] = self._redo_row(record)
+                elif (skipped := self._redo_schema(record)) is not None:
+                    skipped_triggers.append(skipped)
             except RecoveryError:
                 raise
             except DatabaseError as exc:
@@ -1107,16 +1137,33 @@ class Database:
                     table=record.table,
                     rowid=record.rowid,
                 ) from exc
-            if skipped is not None:
-                skipped_triggers.append(skipped)
         self.recovery_skipped_triggers = skipped_triggers
+        if deltas:
+            floor = plan.checkpoint.lsn if plan.checkpoint is not None else 0
+            self.wal.retain(
+                [rebuilt.get(r.lsn, r) for r in records if r.lsn >= floor]
+            )
         # The whole catalog was just rebuilt; plans cached before the
         # crash/attach must not survive it.
         self._bump_schema_version()
 
-    def _redo_one(self, record: Any) -> str | None:
-        """Apply one redo record; returns a skipped-trigger name when a
-        journaled trigger's function is not registered."""
+    def _redo_row(self, record: LogRecord) -> LogRecord:
+        """Apply one committed row change; returns the record with full
+        row images.  A v3 update carries only its changed columns and a
+        v3 delete only its rowid, so the images come from the row being
+        changed — at this point of the replay, the row the change saw."""
+        table = self.catalog.table(record.table)
+        if record.op == OP_INSERT:
+            table.insert(record.after, rowid=record.rowid)
+            return record
+        if record.op == OP_UPDATE:
+            before = table.update(record.rowid, record.after)
+            return replace(record, before=before, after=table.get(record.rowid))
+        return replace(record, before=table.delete(record.rowid))
+
+    def _redo_schema(self, record: LogRecord) -> str | None:
+        """Apply one DDL redo record; returns a skipped-trigger name when
+        a journaled trigger's function is not registered."""
         if record.op == OP_CREATE_TABLE:
             self.catalog.create_table(schema_from_dict(record.meta["schema"]))
         elif record.op == OP_DROP_TABLE:
@@ -1150,16 +1197,6 @@ class Database:
                 ),
                 for_each_row=meta["for_each_row"],
             )
-        elif record.op == OP_INSERT:
-            self.catalog.table(record.table).insert(
-                record.after, rowid=record.rowid
-            )
-        elif record.op == OP_UPDATE:
-            self.catalog.table(record.table).update(
-                record.rowid, record.after
-            )
-        elif record.op == OP_DELETE:
-            self.catalog.table(record.table).delete(record.rowid)
         return None
 
 

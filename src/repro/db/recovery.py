@@ -10,7 +10,9 @@ The protocol (classic ARIES-lite, simplified by consistent checkpoints):
 1. **Analysis** — scan the durable log, find the last checkpoint and
    the set of committed transaction ids after it.
 2. **Redo** — restore the checkpoint snapshot (if any), then reapply,
-   in LSN order, every DDL/DML record whose transaction committed.
+   in LSN order, every DDL/DML record whose transaction committed and
+   that no ``ROLLBACK TO`` undid (rebuilding the full row images a v3
+   journal leaves off disk).
 
 Aborted and in-flight transactions are skipped entirely, which yields
 the two correctness properties EXP-10 checks: *no committed write is
@@ -31,6 +33,7 @@ from repro.db.wal import (
     OP_ABORT,
     OP_CHECKPOINT,
     OP_COMMIT,
+    OP_ROLLBACK_TO,
     LogRecord,
 )
 from repro.errors import RecoveryError
@@ -42,8 +45,9 @@ from repro.errors import RecoveryError
 
 def schema_to_dict(schema: TableSchema) -> dict[str, Any]:
     """JSON-stable form of a table schema (callable defaults excluded:
-    they are evaluated at insert time and the WAL stores full row
-    images, so recovery never needs to re-run a default)."""
+    they are evaluated at insert time and every journaled insert carries
+    its whole row — later updates log only the columns they change — so
+    recovery never needs to re-run a default)."""
     return {
         "name": schema.name,
         "columns": [
@@ -109,7 +113,10 @@ def analyze(records: list[LogRecord]) -> RecoveryPlan:
     tail = records[checkpoint_index + 1 :]
 
     seen: set[int] = set()
-    for record in tail:
+    # LSNs of records a ROLLBACK TO undid (rare: found by walking back
+    # from the marker to its savepoint).
+    void: set[int] = set()
+    for position, record in enumerate(tail):
         plan.max_lsn = max(plan.max_lsn, record.lsn)
         plan.max_txid = max(plan.max_txid, record.txid)
         seen.add(record.txid)
@@ -117,6 +124,12 @@ def analyze(records: list[LogRecord]) -> RecoveryPlan:
             plan.committed_txids.add(record.txid)
         elif record.op == OP_ABORT:
             plan.aborted_txids.add(record.txid)
+        elif record.op == OP_ROLLBACK_TO:
+            earlier = position - 1
+            while earlier >= 0 and tail[earlier].lsn > record.meta["lsn"]:
+                if tail[earlier].txid == record.txid:
+                    void.add(tail[earlier].lsn)
+                earlier -= 1
     plan.inflight_txids = seen - plan.committed_txids - plan.aborted_txids
 
     plan.redo_records = [
@@ -124,6 +137,7 @@ def analyze(records: list[LogRecord]) -> RecoveryPlan:
         for record in tail
         if (record.op in DML_OPS or record.op in DDL_OPS)
         and record.txid in plan.committed_txids
+        and record.lsn not in void
     ]
     return plan
 

@@ -177,7 +177,8 @@ class Transaction:
         self._manager = manager
         self.state = TransactionState.ACTIVE
         self._undo: list[UndoAction] = []
-        self._savepoints: dict[str, int] = {}
+        # name -> (undo position, the caller's mark: where the journal stood)
+        self._savepoints: dict[str, tuple[int, Any]] = {}
         # Arbitrary per-transaction attachments (e.g. trigger depth).
         self.attributes: dict[str, Any] = {}
 
@@ -199,24 +200,30 @@ class Transaction:
         self.require_active()
         self._undo.append(action)
 
-    def savepoint(self, name: str) -> None:
-        """Mark the current undo position under ``name``."""
+    def savepoint(self, name: str, mark: Any = None) -> None:
+        """Mark the current undo position under ``name``, with the
+        caller's ``mark`` (the database keeps its journal LSN there)."""
         self.require_active()
-        self._savepoints[name] = len(self._undo)
+        self._savepoints[name] = (len(self._undo), mark)
 
-    def rollback_to_savepoint(self, name: str) -> None:
-        """Undo work performed after the savepoint; the savepoint remains."""
+    def savepoint_mark(self, name: str) -> Any:
+        """The ``mark`` a live savepoint was taken with."""
         self.require_active()
         if name not in self._savepoints:
             raise TransactionError(f"no savepoint named {name!r}")
-        position = self._savepoints[name]
+        return self._savepoints[name][1]
+
+    def rollback_to_savepoint(self, name: str) -> None:
+        """Undo work performed after the savepoint; the savepoint remains."""
+        self.savepoint_mark(name)  # raises for an unknown savepoint
+        position = self._savepoints[name][0]
         while len(self._undo) > position:
             self._undo.pop()()
         # Invalidate savepoints created after this one.
         self._savepoints = {
-            sp_name: sp_position
-            for sp_name, sp_position in self._savepoints.items()
-            if sp_position <= position
+            sp_name: entry
+            for sp_name, entry in self._savepoints.items()
+            if entry[0] <= position
         }
 
     # The manager drives these; user code goes through Database/Connection.

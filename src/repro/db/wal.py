@@ -18,11 +18,16 @@ every commit, so committed work always survives; with
 committed-but-unflushed transactions — the classic trade the tutorial's
 "performance vs recoverability" bullet points at.
 
-**On-disk format.** Version-2 journals start with a ``%REPRO-WAL 2``
+**On-disk format.** Framed journals start with a ``%REPRO-WAL <v>``
 header line; every record is one *frame* — a line of the form
 ``<length>:<crc32-hex>:<json>`` where ``length`` is the byte length of
-the JSON payload and the CRC covers those bytes.  Loading a journal is
-therefore an *analysis pass*, not a trusting parse:
+the JSON payload and the CRC covers those bytes.  Version 3 (new files)
+journals each change as a delta — an update carries only the columns it
+changed, a delete only its rowid (:meth:`LogRecord.to_json`) — while the
+in-memory records keep full row images; recovery rebuilds the images of
+the records it replays from the rows they change.  Version 2 records
+carry full images on disk too.  Loading a journal is therefore an
+*analysis pass*, not a trusting parse:
 
 * a **torn tail** — invalid bytes after the last decodable commit
   (truncated or garbled final frame, the signature of dying mid-write)
@@ -33,9 +38,9 @@ therefore an *analysis pass*, not a trusting parse:
   committed work, so it raises :class:`~repro.errors.RecoveryError`
   naming the expected LSN and byte offset.
 
-Files without the header are legacy plain-JSONL (v1) journals; they
-replay with the same torn-tail analysis and keep appending in their own
-format, so a pre-framing journal never becomes a mixed-format file.
+Files without the header are legacy plain-JSONL (v1) journals.  A v1 or
+v2 file replays with the same torn-tail analysis and keeps appending in
+its own format, so one file never mixes formats.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.errors import (
     FaultInjectedError,
     RecoveryError,
+    StreamError,
     TornTailWarning,
     WALError,
 )
@@ -71,6 +77,9 @@ OP_CREATE_INDEX = "create_index"
 OP_CREATE_TRIGGER = "create_trigger"
 OP_DROP_TRIGGER = "drop_trigger"
 OP_CHECKPOINT = "checkpoint"
+#: ``ROLLBACK TO <savepoint>``: the transaction's DML/DDL records after
+#: ``meta["lsn"]`` (where the journal stood at the savepoint) are void.
+OP_ROLLBACK_TO = "rollback_to"
 
 DML_OPS = frozenset({OP_INSERT, OP_UPDATE, OP_DELETE})
 DDL_OPS = frozenset(
@@ -83,6 +92,14 @@ DDL_OPS = frozenset(
     }
 )
 
+WAL_MAGIC = "%REPRO-WAL"
+WAL_FORMAT_VERSION = 3
+WAL_HEADER = f"{WAL_MAGIC} {WAL_FORMAT_VERSION}\n"
+_HEADERS = {version: f"{WAL_MAGIC} {version}\n".encode() for version in (2, 3)}
+#: Suffix of the sibling file a reclaim writes before renaming it over
+#: the journal (:meth:`WriteAheadLog.truncate_before`).
+RECLAIM_SUFFIX = ".reclaim"
+
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -91,7 +108,11 @@ class LogRecord:
     ``before``/``after`` carry full row images for DML; ``meta`` carries
     schema payloads for DDL and the table snapshot for checkpoints.
     ``ts`` is the database-clock time the record was written — journal
-    miners use it as the change's event time.
+    miners use it as the change's event time.  Only a record read back
+    from a v3 file holds partial images, and then only until redo
+    rebuilds them (records of transactions that did not commit, or that
+    a ``ROLLBACK TO`` voided, keep the delta, and no journal reader ever
+    returns them).
     """
 
     lsn: int
@@ -104,8 +125,13 @@ class LogRecord:
     meta: dict[str, Any] = field(default_factory=dict)
     ts: float = 0.0
 
-    def to_json(self) -> str:
-        """Serialize for the on-disk journal.
+    def to_json(self, version: int = WAL_FORMAT_VERSION) -> str:
+        """Serialize for an on-disk journal of format ``version``.
+
+        v1 and v2 write every field and full row images.  v3 writes the
+        change and leaves out empty fields: an insert carries its full
+        row, an update only the columns whose value changed (their
+        before and after values), a delete only its rowid.
 
         Values must round-trip through JSON *faithfully*: stringifying
         unserializable values (``default=str``) would let recovery
@@ -123,8 +149,8 @@ class LogRecord:
                 rowid=self.rowid,
             )
 
-        return json.dumps(
-            {
+        if version < 3:
+            data = {
                 "lsn": self.lsn,
                 "txid": self.txid,
                 "op": self.op,
@@ -134,10 +160,33 @@ class LogRecord:
                 "after": self.after,
                 "meta": self.meta,
                 "ts": self.ts,
-            },
-            separators=(",", ":"),
-            default=reject,
-        )
+            }
+        else:
+            data = {"lsn": self.lsn, "txid": self.txid, "op": self.op, "ts": self.ts}
+            if self.table is not None:
+                data["table"] = self.table
+            if self.rowid is not None:
+                data["rowid"] = self.rowid
+            before, after = self.before, self.after
+            if self.op == OP_DELETE:
+                before = None
+            elif self.op == OP_UPDATE and before is not None and after is not None:
+                changed = [
+                    column
+                    for column, value in after.items()
+                    if column not in before
+                    or before[column] != value
+                    or type(before[column]) is not type(value)
+                ]
+                before = {column: before[column] for column in changed if column in before}
+                after = {column: after[column] for column in changed}
+            if before is not None:
+                data["before"] = before
+            if after is not None:
+                data["after"] = after
+            if self.meta:
+                data["meta"] = self.meta
+        return json.dumps(data, separators=(",", ":"), default=reject)
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
@@ -162,12 +211,17 @@ class LogRecord:
 
 
 # --------------------------------------------------------------------------
-# On-disk framing (version 2) and the load-time analysis pass
+# On-disk framing (versions 2 and 3) and the load-time analysis pass
 # --------------------------------------------------------------------------
 
-WAL_MAGIC = "%REPRO-WAL"
-WAL_FORMAT_VERSION = 2
-WAL_HEADER = f"{WAL_MAGIC} {WAL_FORMAT_VERSION}\n"
+
+def _header_version(data: bytes) -> tuple[int, int]:
+    """``(format version, header length)`` of a journal file's bytes; a
+    file without a header is v1."""
+    for version, header in _HEADERS.items():
+        if data.startswith(header):
+            return version, len(header)
+    return 1, 0
 
 
 def encode_frame(payload: str) -> str:
@@ -211,12 +265,7 @@ def iter_frames(
     """Yield ``(start_offset, end_offset, record_or_None)`` for every
     line of a journal file (header excluded).  Used by the load-time
     scan and by fault tooling that needs frame byte positions."""
-    version = 1
-    position = 0
-    header = WAL_HEADER.encode("utf-8")
-    if data.startswith(header):
-        version = 2
-        position = len(header)
+    version, position = _header_version(data)
     while position < len(data):
         newline = data.find(b"\n", position)
         end = newline if newline != -1 else len(data)
@@ -251,12 +300,7 @@ def scan_wal_bytes(data: bytes) -> WalLoadReport:
     torn tail (at worst uncommitted work written mid-crash) and is
     reported for truncation.
     """
-    version = 1
-    offset = 0
-    header = WAL_HEADER.encode("utf-8")
-    if data.startswith(header):
-        version = 2
-        offset = len(header)
+    version, offset = _header_version(data)
     report = WalLoadReport(version=version, good_bytes=offset)
     position = offset
     while position < len(data):
@@ -371,6 +415,10 @@ class WriteAheadLog:
         self._m_fsyncs = metrics.counter("wal.fsyncs")
         self._m_bytes = metrics.counter("wal.bytes")
         self._m_batch = metrics.histogram("wal.group_commit_batch")
+        if path and os.path.exists(path + RECLAIM_SUFFIX):
+            # A reclaim died before its rename, so the journal itself is
+            # whole; the half-made copy is garbage.
+            os.remove(path + RECLAIM_SUFFIX)
         if path and os.path.exists(path):
             self._load_existing(path)
 
@@ -463,7 +511,7 @@ class WriteAheadLog:
             # Append-time validation: a record that cannot be journaled
             # faithfully must fail *now*, inside the owning transaction,
             # not later at an unrelated commit's flush.
-            self._encoded[record.lsn] = record.to_json()
+            self._encoded[record.lsn] = record.to_json(self._format_version)
         self._next_lsn += 1
         self._records.append(record)
         if self.sync_policy == "always":
@@ -493,7 +541,9 @@ class WriteAheadLog:
         return self._pending_commits
 
     def _frame_for(self, record: LogRecord) -> str:
-        payload = self._encoded.pop(record.lsn, None) or record.to_json()
+        payload = self._encoded.pop(record.lsn, None) or record.to_json(
+            self._format_version
+        )
         if self._format_version >= 2:
             return encode_frame(payload)
         return payload + "\n"
@@ -522,7 +572,7 @@ class WriteAheadLog:
             torn = self._fire("wal.flush.torn", frames=frames)
             with open(self.path, "ab") as handle:
                 if handle.tell() == 0 and self._format_version >= 2:
-                    handle.write(WAL_HEADER.encode("utf-8"))
+                    handle.write(_HEADERS[self._format_version])
                 data = "".join(frames).encode("utf-8")
                 if torn is not None and torn.result is not None:
                     data = self._tear(data, frames[-1], torn.result)
@@ -570,6 +620,15 @@ class WriteAheadLog:
             self._next_lsn = 1
         return list(self._records)
 
+    def retain(self, records: list[LogRecord]) -> None:
+        """Keep only ``records`` in memory: recovery from a v3 file
+        hands back the durable records from the newest checkpoint on,
+        with the images redo rebuilt.  Older records are not kept (redo
+        could not rebuild their images), so :attr:`first_lsn` becomes
+        the checkpoint's and a reader below it raises."""
+        self._records = records
+        self._durable_count = len(records)
+
     def records(self, *, durable_only: bool = False) -> list[LogRecord]:
         if durable_only:
             return list(self._records[: self._durable_count])
@@ -589,22 +648,44 @@ class WriteAheadLog:
 
     def truncate_before(self, lsn: int) -> int:
         """Drop records with LSN < ``lsn`` (post-checkpoint log reclaim).
-        Returns the number of records dropped."""
+        Returns the number of records dropped.
+
+        A file-backed journal is replaced, never rewritten in place: the
+        kept durable records are written in the file's own format to a
+        sibling (``<path>.reclaim``), which is fsynced and renamed over
+        the journal, and then the directory is fsynced.  A crash at any
+        point leaves the old journal or the new one, and the next open
+        deletes a leftover sibling.  Failpoint ``wal.truncate`` fires
+        with ``stage="synced"`` (sibling durable, journal untouched) and
+        ``stage="renamed"`` (journal replaced, rename not yet durable).
+        """
         kept = [record for record in self._records if record.lsn >= lsn]
         dropped = len(self._records) - len(kept)
-        self._records = kept
-        self._durable_count = max(0, self._durable_count - dropped)
+        durable = max(0, self._durable_count - dropped)
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                if self._format_version >= 2:
-                    handle.write(WAL_HEADER)
-                for record in self._records[: self._durable_count]:
-                    payload = record.to_json()
-                    if self._format_version >= 2:
-                        handle.write(encode_frame(payload))
-                    else:
-                        handle.write(payload + "\n")
+            self._replace_file(kept[:durable])
+        self._records = kept
+        self._durable_count = durable
         return dropped
+
+    def _replace_file(self, records: list[LogRecord]) -> None:
+        sibling = self.path + RECLAIM_SUFFIX
+        with open(sibling, "wb") as handle:
+            if self._format_version >= 2:
+                handle.write(_HEADERS[self._format_version])
+            handle.write(
+                "".join(self._frame_for(record) for record in records).encode("utf-8")
+            )
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._fire("wal.truncate", stage="synced")
+        os.replace(sibling, self.path)
+        self._fire("wal.truncate", stage="renamed")
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 class JournalReader:
@@ -613,7 +694,13 @@ class JournalReader:
     This is the substrate for journal-based ("log mining") event
     capture: the reader remembers its position and, on each poll,
     returns DML records of transactions whose commit record it has seen.
-    Records of uncommitted or aborted transactions are never surfaced.
+    Records of uncommitted or aborted transactions, and records a
+    ``ROLLBACK TO`` undid, are never surfaced.
+
+    A reader never skips records silently: when the journal no longer
+    holds the records right after its position (a reclaim, or a
+    reopened v3 journal, which keeps nothing below its newest
+    checkpoint), creating or polling it raises :class:`StreamError`.
     """
 
     def __init__(self, wal: WriteAheadLog, start_lsn: int = 0) -> None:
@@ -621,14 +708,26 @@ class JournalReader:
         self._position = start_lsn
         # DML records of transactions whose fate we have not yet seen.
         self._pending: dict[int, list[LogRecord]] = {}
+        self._check_reach()
 
     @property
     def position(self) -> int:
         """LSN up to which this reader has consumed the journal."""
         return self._position
 
+    def _check_reach(self) -> None:
+        first = self._wal.first_lsn
+        if self._position + 1 < first:
+            raise StreamError(
+                f"journal no longer reaches back to LSN {self._position}: "
+                f"records before LSN {first} are gone (log reclaim, or a "
+                "reopened journal's checkpoint); resume from a checkpoint "
+                f"snapshot with start_lsn >= {first - 1}"
+            )
+
     def poll(self) -> list[LogRecord]:
         """Return newly committed DML records, in commit order."""
+        self._check_reach()
         committed: list[LogRecord] = []
         for record in self._wal.records_from(self._position):
             self._position = record.lsn
@@ -638,4 +737,8 @@ class JournalReader:
                 committed.extend(self._pending.pop(record.txid, []))
             elif record.op == OP_ABORT:
                 self._pending.pop(record.txid, None)
+            elif record.op == OP_ROLLBACK_TO:
+                changes = self._pending.get(record.txid, [])
+                while changes and changes[-1].lsn > record.meta["lsn"]:
+                    changes.pop()
         return committed

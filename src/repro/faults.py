@@ -18,6 +18,11 @@ name                    fired
 ``wal.flush.torn``      consulted mid-flush; a :func:`torn_write` action
                         makes the flush write only part (or a corrupted
                         copy) of its final frame and die
+``wal.truncate``        during a log reclaim, with ``stage="synced"``
+                        (the rewritten sibling is durable, the journal
+                        untouched) and ``stage="renamed"`` (the sibling
+                        replaced the journal, the directory is not yet
+                        synced)
 ``broker.publish``      before an enqueue through the broker
 ``broker.consume``      before a dequeue through the broker
 ``broker.ack``          before an acknowledgement through the broker
@@ -74,6 +79,7 @@ WAL_APPEND = "wal.append"
 WAL_PRE_FLUSH = "wal.pre_flush"
 WAL_POST_FLUSH = "wal.post_flush"
 WAL_TORN_WRITE = "wal.flush.torn"
+WAL_TRUNCATE = "wal.truncate"
 BROKER_PUBLISH = "broker.publish"
 BROKER_CONSUME = "broker.consume"
 BROKER_ACK = "broker.ack"
@@ -92,6 +98,7 @@ FAILPOINT_CATALOG = frozenset(
         WAL_PRE_FLUSH,
         WAL_POST_FLUSH,
         WAL_TORN_WRITE,
+        WAL_TRUNCATE,
         BROKER_PUBLISH,
         BROKER_CONSUME,
         BROKER_ACK,

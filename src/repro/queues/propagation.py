@@ -9,6 +9,10 @@ to one or more destinations:
   :class:`ExternalService` (e.g. an HTTP endpoint in production; a
   callable stub in tests and benchmarks).
 
+A pump forwards its batch link by link, and a staging-area link takes
+the whole batch in one ``publish_batch`` — one destination transaction
+per pump, not one per message.
+
 Delivery is *reliable*: a message is acked on the source only after
 every destination accepted it; failed deliveries requeue the message
 with capped exponential backoff and deterministic jitter (see
@@ -21,7 +25,7 @@ carried in headers, giving effective exactly-once across retries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol
 
 from repro.errors import PropagationError
@@ -99,7 +103,9 @@ class PropagationLink:
                 f"link {self.name!r} targets a broker but names no queue"
             )
 
-    def send(self, message: Message) -> None:
+    def outgoing(self, message: Message) -> Message:
+        """The copy of ``message`` this link forwards: the origin
+        headers stamped, then ``transform`` applied."""
         outgoing = Message(
             payload=message.payload,
             priority=message.priority,
@@ -113,6 +119,16 @@ class PropagationLink:
         )
         if self.transform is not None:
             outgoing = self.transform(outgoing)
+        return outgoing
+
+    def send(self, message: Message) -> None:
+        """Forward one message on its own."""
+        self.put(self.outgoing(message))
+
+    def put(self, outgoing: Message) -> None:
+        """Hand one already built copy to the destination (a service
+        link's only path, and a broker link's fallback when its batch
+        publish raised)."""
         if self.broker is not None:
             self.broker.publish(self.queue_name, outgoing)
         else:
@@ -194,22 +210,19 @@ class Propagator:
 
     def pump(self, *, batch: int = 100) -> int:
         """Drain up to ``batch`` messages: dequeue them in one
-        transaction, forward each, then settle the batch
-        (:meth:`Settler.settle`): every fully delivered message is acked
-        with ONE batch ack, each failure is requeued after
-        :meth:`backoff_for` or, from ``max_attempts`` on, dead-lettered.
-        Returns how many were fully delivered (acked at the source).
+        transaction, forward them link by link (:meth:`_forward`), then
+        settle the batch (:meth:`Settler.settle`): every fully delivered
+        message is acked with ONE batch ack, each failure is requeued
+        after :meth:`backoff_for` or, from ``max_attempts`` on,
+        dead-lettered.  Returns how many were fully delivered (acked at
+        the source).
         """
         if not self.links:
             raise PropagationError("propagator has no links configured")
         messages = self.broker.consume_batch(
             self.source_queue, batch, principal="propagator"
         )
-        failed: dict[int, str] = {}
-        for message in messages:
-            reason = self._forward(message)
-            if reason is not None:
-                failed[message.message_id] = reason
+        failed = self._forward(messages)
         try:
             return len(self._settler.settle(messages, failed, delay=self.backoff_for))
         finally:
@@ -220,20 +233,79 @@ class Propagator:
                     for window in self._delivered_ids.values():
                         window.discard(message.message_id)
 
-    def _forward(self, message: Message) -> str | None:
-        """Send ``message`` down every link that has not taken it yet.
-        Returns why it failed on some link, or None when all links now
-        have it."""
-        failures: list[str] = []
+    def _forward(self, messages: list[Message]) -> dict[int, str]:
+        """Send ``messages`` down every link that has not taken them
+        yet, one link after the other.  Each link builds its copies once
+        (:meth:`PropagationLink.outgoing`; a raising ``transform`` fails
+        only its own message).  A broker link publishes them in ONE
+        ``publish_batch`` (one destination transaction); a service link,
+        or a broker link whose batch publish raised, puts them one at a
+        time, so a message the destination refuses fails on its own.
+        Returns why each failed message failed (its failing links, in
+        link order)."""
+        reasons: dict[int, list[str]] = {}
         for link in self.links:
             seen = self._delivered_ids[link.name]
-            if message.message_id in seen:
-                continue  # Already delivered on a previous (partial) try.
-            self._m_attempts.inc()
-            try:
-                link.send(message)
-                seen.add(message.message_id)
-            except Exception as exc:  # failure boundary around foreign code
-                link.failed += 1
-                failures.append(f"{link.name}: {exc}")
-        return "; ".join(failures) or None
+            # Skip what a previous (partial) try already delivered here.
+            todo = [message for message in messages if message.message_id not in seen]
+            self._m_attempts.inc(len(todo))
+            pairs: list[tuple[Message, Message]] = []
+            for message in todo:
+                try:
+                    pairs.append((message, link.outgoing(message)))
+                except Exception as exc:  # failure boundary around foreign code
+                    _fail(reasons, link, message, exc)
+            if link.broker is not None and pairs:
+                pairs = self._publish_batch(link, pairs, reasons)
+            for message, outgoing in pairs:
+                try:
+                    link.put(outgoing)
+                except Exception as exc:  # failure boundary around foreign code
+                    _fail(reasons, link, message, exc)
+                else:
+                    seen.add(message.message_id)
+        return {message_id: "; ".join(why) for message_id, why in reasons.items()}
+
+    def _publish_batch(
+        self,
+        link: PropagationLink,
+        pairs: list[tuple[Message, Message]],
+        reasons: dict[int, list[str]],
+    ) -> list[tuple[Message, Message]]:
+        """Publish a broker link's ``(message, copy)`` pairs in one
+        ``publish_batch``.  Returns the pairs left to put one at a time:
+        none, unless the batch raised.  A raising batch of two or more
+        falls back (counted in ``prop.batch_fallbacks``) so the message
+        the destination refused can fail alone; a raising batch of one
+        already is that message's own failure, so it is not retried in
+        the same pump."""
+        try:
+            link.broker.publish_batch(
+                link.queue_name, [outgoing for _, outgoing in pairs]
+            )
+        except Exception as exc:  # failure boundary around the destination
+            if len(pairs) == 1:
+                _fail(reasons, link, pairs[0][0], exc)
+                return []
+            # Resolved here, not bound at construction: a registry that
+            # never saw a fallback has no such key.
+            self.broker.db.obs.counter(
+                "prop.batch_fallbacks", source=self.source_queue
+            ).inc()
+            return pairs
+        link.delivered += len(pairs)
+        seen = self._delivered_ids[link.name]
+        for message, _ in pairs:
+            seen.add(message.message_id)
+        return []
+
+
+def _fail(
+    reasons: dict[int, list[str]],
+    link: PropagationLink,
+    message: Message,
+    exc: Exception,
+) -> None:
+    """Count a failed send on ``link`` and record why ``message`` failed."""
+    link.failed += 1
+    reasons.setdefault(message.message_id, []).append(f"{link.name}: {exc}")

@@ -7,8 +7,9 @@ The acceptance-critical scenarios live here:
   not hand-crafted bytes — recovers losing only the tail;
 * a checksum-corrupted record *before* the last commit fails loudly
   with the offending LSN and byte offset;
-* pre-existing plain-JSONL (v1) journals still replay, and a WAL
-  attached to one keeps appending v1 (no mixed-format files).
+* pre-existing plain-JSONL (v1) and full-image (v2) journals still
+  replay, and a WAL attached to one keeps appending, and reclaims, in
+  its format (no mixed-format files).
 """
 
 import json
@@ -17,6 +18,7 @@ import warnings
 
 import pytest
 
+from repro.capture import JournalCapture
 from repro.clock import SimulatedClock
 from repro.db import Database
 from repro.db.wal import (
@@ -26,6 +28,7 @@ from repro.db.wal import (
     WAL_HEADER,
     LogRecord,
     WriteAheadLog,
+    encode_frame,
     scan_wal_bytes,
 )
 from repro.errors import (
@@ -297,7 +300,7 @@ class TestLegacyFormat:
             wal = WriteAheadLog(path=path)
         assert len(wal) == 3
 
-    def test_new_files_get_v2_header(self, tmp_path):
+    def test_new_files_get_v3_header(self, tmp_path):
         path = str(tmp_path / "new.log")
         wal = WriteAheadLog(path=path)
         wal.append(1, OP_BEGIN)
@@ -307,9 +310,99 @@ class TestLegacyFormat:
             data = handle.read()
         assert data.startswith(WAL_HEADER.encode("utf-8"))
         report = scan_wal_bytes(data)
-        assert report.version == 2
+        assert report.version == 3
         assert not report.torn
         assert len(report.records) == 2
+
+
+class TestV2Format:
+    """Framed journals written before deltas (v2) replay unchanged and
+    keep their full-image format on append and on reclaim."""
+
+    SCHEMA = {
+        "name": "t",
+        "columns": [
+            {"name": "a", "type": "INT", "nullable": True, "primary_key": False,
+             "unique": False, "default": None},
+            {"name": "b", "type": "TEXT", "nullable": True, "primary_key": False,
+             "unique": False, "default": None},
+        ],
+        "checks": [],
+    }
+    RECORDS = [
+        LogRecord(lsn=1, txid=1, op=OP_BEGIN),
+        LogRecord(lsn=2, txid=1, op="create_table", table="t", meta={"schema": SCHEMA}),
+        LogRecord(lsn=3, txid=1, op=OP_INSERT, table="t", rowid=1,
+                  after={"a": 5, "b": "x" * 64}),
+        LogRecord(lsn=4, txid=1, op=OP_INSERT, table="t", rowid=2, after={"a": 7, "b": "y"}),
+        LogRecord(lsn=5, txid=1, op=OP_COMMIT),
+        LogRecord(lsn=6, txid=2, op=OP_BEGIN),
+        LogRecord(lsn=7, txid=2, op="update", table="t", rowid=1,
+                  before={"a": 5, "b": "x" * 64}, after={"a": 6, "b": "x" * 64}),
+        LogRecord(lsn=8, txid=2, op="delete", table="t", rowid=2, before={"a": 7, "b": "y"}),
+        LogRecord(lsn=9, txid=2, op=OP_COMMIT),
+    ]
+
+    @classmethod
+    def _write(cls, path: str, version: int = 2) -> None:
+        """The fixture as a v2 file (or, for ``version=1``, plain JSONL)."""
+        with open(path, "w", encoding="utf-8") as handle:
+            if version == 2:
+                handle.write("%REPRO-WAL 2\n")
+            for record in cls.RECORDS:
+                payload = record.to_json(version)
+                handle.write(encode_frame(payload) if version == 2 else payload + "\n")
+
+    def test_v2_log_replays(self, tmp_path):
+        path = str(tmp_path / "v2.log")
+        self._write(path)
+        db = Database(path=path)
+        assert db.wal.load_report.version == 2
+        assert db.query("SELECT a, b FROM t") == [{"a": 6, "b": "x" * 64}]
+        update = db.wal.records()[6]
+        assert update.before == {"a": 5, "b": "x" * 64}
+        assert update.after == {"a": 6, "b": "x" * 64}
+
+    def test_v2_log_keeps_appending_v2(self, tmp_path):
+        path = str(tmp_path / "v2.log")
+        self._write(path)
+        db = Database(path=path)
+        db.execute("UPDATE t SET a = 8")
+        db.execute("DELETE FROM t WHERE a = 8")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data.startswith(b"%REPRO-WAL 2\n")
+        report = scan_wal_bytes(data)
+        assert report.version == 2 and not report.torn
+        update, delete = [r for r in report.records if r.lsn > 9 and r.op in ("update", "delete")]
+        # Full images on disk, as every v2 record has.
+        assert update.before == {"a": 6, "b": "x" * 64}
+        assert update.after == {"a": 8, "b": "x" * 64}
+        assert delete.before == {"a": 8, "b": "x" * 64}
+        reopened = Database(path=path)
+        assert reopened.query("SELECT a FROM t") == []
+        assert reopened.wal.load_report.version == 2
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reopen_keeps_records_below_the_checkpoint(self, tmp_path, version):
+        # Old formats carry full images on disk: nothing needs a floor.
+        path = str(tmp_path / "old.log")
+        self._write(path, version)
+        Database(path=path).checkpoint()
+        reopened = Database(path=path)
+        assert reopened.wal.first_lsn == 1
+        assert len(JournalCapture(reopened, from_start=True).poll()) == 4
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reclaim_keeps_the_file_format(self, tmp_path, version):
+        path = str(tmp_path / "old.log")
+        self._write(path, version)
+        db = Database(path=path)
+        db.checkpoint(truncate=True)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert scan_wal_bytes(data).version == version
+        assert Database(path=path).query("SELECT a FROM t") == [{"a": 6}]
 
 
 # --------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def test_database_pipeline(mode):
             "inserts": 10,
             "updates": 10,
             "deletes": 8,
-            "commits": 30,
+            "commits": 28,  # the pump's 3 forwards are one publish_batch
             "rollbacks": 1,
         },
         "cache": {"hits": 1, "misses": 7, "evictions": 0, "invalidations": 7},

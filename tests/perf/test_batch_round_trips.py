@@ -6,7 +6,9 @@ the table lock once and resolves the table once, and so does each layer
 of ``QueueTable.ack_batch`` above it (the queue resolves its table once
 to check every id is LOCKED, the database once to delete) — whatever
 the batch size.  Settling a consumed batch is likewise a fixed number
-of broker calls, however many of its messages dead-letter.
+of broker calls, however many of its messages dead-letter, and a
+propagation pump forwards its batch to a staging area in one publish
+(one destination transaction), unless that publish raised.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.db import Database
+from repro.faults import BROKER_PUBLISH, FaultInjector, on_hit, raise_fault
 from repro.pubsub import DeliveryManager
 from repro.queues import PropagationLink, Propagator, QueueBroker, QueueTable
 
@@ -110,3 +113,59 @@ def test_dead_letters_settle_in_one_publish_and_one_ack(driver, k):
     assert [call.args[0] for call in acks.call_args_list] == ["src", "src"]
     assert broker.queue("dlq").depth() == k
     assert broker.queue("src").depth() == 0
+
+
+def _propagator(*destinations):
+    """A source queue holding BATCH messages and a Propagator with one
+    broker link per destination broker (each its own database)."""
+    source = QueueBroker(Database())
+    source.create_queue("src")
+    source.publish_batch("src", list(range(BATCH)))
+    propagator = Propagator(source, "src")
+    for destination in destinations:
+        destination.create_queue("inbox")
+        propagator.add_link(
+            PropagationLink(destination.name, broker=destination, queue_name="inbox")
+        )
+    return source, propagator
+
+
+def _payloads(broker):
+    return sorted(message.payload for message in broker.queue("inbox").browse())
+
+
+def test_a_pump_is_one_publish_batch_per_broker_link():
+    destination = QueueBroker(Database(), name="dest")
+    source, propagator = _propagator(destination)
+    commits = destination.db.statistics["commits"]
+    with mock.patch.object(
+        destination, "publish_batch", wraps=destination.publish_batch
+    ) as publishes:
+        assert propagator.pump(batch=BATCH) == BATCH
+    assert publishes.call_count == 1
+    assert destination.db.statistics["commits"] - commits == 1
+    assert _payloads(destination) == list(range(BATCH))
+    assert source.depth("src") == 0
+
+
+def test_a_failed_batch_falls_back_on_its_link_alone():
+    injector = FaultInjector()
+    down = QueueBroker(Database(faults=injector), name="down")
+    healthy = QueueBroker(Database(), name="healthy")
+    source, propagator = _propagator(down, healthy)
+    injector.arm(BROKER_PUBLISH, raise_fault("link down"), policy=on_hit(1))
+    with mock.patch.object(
+        down, "publish_batch", wraps=down.publish_batch
+    ) as down_publishes, mock.patch.object(
+        healthy, "publish_batch", wraps=healthy.publish_batch
+    ) as healthy_publishes:
+        assert propagator.pump(batch=BATCH) == BATCH
+    # The failed batch, then one publish per message on that link only.
+    assert down_publishes.call_count == 1 + BATCH
+    assert healthy_publishes.call_count == 1
+    fallbacks = source.db.obs.counter("prop.batch_fallbacks", source="src")
+    assert fallbacks.value == 1
+    # Every message ended exactly once: on each link once, acked once.
+    assert _payloads(down) == _payloads(healthy) == list(range(BATCH))
+    assert propagator.stats["forwarded"] == BATCH
+    assert list(source.queue("src").browse(include_locked=True)) == []

@@ -23,12 +23,19 @@ workload tracked:
 Everything is deterministic per seed: the workload draws from its own
 ``random.Random``, the injector from its seeded RNG, and the clock is
 simulated — a failing ``(seed,)`` id replays exactly.
+
+A last step kills a real child process in the middle of a log reclaim
+(``checkpoint(truncate=True)``) and recovers every committed row from
+what it left on disk.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -232,3 +239,67 @@ def test_crash_point_coverage(tmp_path) -> None:
         name, _action = CRASH_POINTS[rng.randrange(len(CRASH_POINTS))]
         names.add(name)
     assert len(names) >= 4, f"seed subset only covers {sorted(names)}"
+
+
+#: Exit status of a reclaim child that died at its kill point.
+KILLED = 17
+
+RECLAIM_CHILD = """
+import os, sys
+from unittest import mock
+from repro.db import Database
+from repro.db.wal import LogRecord
+from repro.faults import FaultInjector, call
+
+path, kill_at = sys.argv[1], sys.argv[2]
+db = Database(path=path)
+db.execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+for k in range(40):
+    db.execute(f"INSERT INTO kv VALUES ({k}, {k})")
+for k in range(0, 40, 3):
+    db.execute(f"UPDATE kv SET v = {k * 10} WHERE k = {k}")
+for k in range(1, 40, 5):
+    db.execute(f"DELETE FROM kv WHERE k = {k}")
+
+def die(*_args):
+    os._exit(%d)
+
+if kill_at == "encode":
+    # Die while the reclaim encodes the records it keeps.
+    truncate = db.wal.truncate_before
+    def dying_truncate(lsn):
+        with mock.patch.object(LogRecord, "to_json", die):
+            truncate(lsn)
+    db.wal.truncate_before = dying_truncate
+else:
+    injector = FaultInjector()
+    injector.arm("wal.truncate", call(lambda ctx: ctx.site["stage"] == kill_at and die()))
+    db.faults = injector
+db.checkpoint(truncate=True)
+""" % KILLED
+
+#: What the reclaim child committed before its reclaim.
+RECLAIM_ROWS = {
+    k: k * 10 if k % 3 == 0 else k for k in range(40) if k % 5 != 1
+}
+
+
+@pytest.mark.crash
+@pytest.mark.parametrize("kill_at", ["encode", "synced", "renamed"])
+def test_reclaim_killed_midway_loses_no_committed_row(tmp_path, kill_at) -> None:
+    """A process killed during ``checkpoint(truncate=True)`` — while the
+    kept records are written, after the rewritten copy is durable, or
+    right after it replaced the journal — leaves a journal that still
+    recovers every committed row."""
+    path = str(tmp_path / "reclaim.wal")
+    child = subprocess.run(
+        [sys.executable, "-c", RECLAIM_CHILD, path, kill_at],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == KILLED, child.stderr
+    recovered = Database(path=path)
+    rows = {row["k"]: row["v"] for row in recovered.query("SELECT k, v FROM kv")}
+    assert rows == RECLAIM_ROWS
+    assert not os.path.exists(path + ".reclaim")

@@ -115,6 +115,92 @@ class TestForwarding:
         assert source.queue("outbox").depth() == 6
 
 
+class TestBatchForwarding:
+    def test_raising_transform_fails_only_its_message(self, source, remote, clock):
+        def refuse_two(message: Message) -> Message:
+            if message.payload == 2:
+                raise ValueError("cannot rewrite 2")
+            return message
+
+        link = PropagationLink(
+            "r", broker=remote, queue_name="inbox", transform=refuse_two
+        )
+        propagator = Propagator(source, "outbox", base_backoff=0.1).add_link(link)
+        source.publish_batch("outbox", [1, 2, 3])
+        assert propagator.pump() == 2
+        assert [m.payload for m in remote.queue("inbox").browse()] == [1, 3]
+        assert (link.delivered, link.failed) == (2, 1)
+        link.transform = None
+        clock.advance(1.0)
+        assert propagator.pump() == 1
+        assert sorted(m.payload for m in remote.queue("inbox").browse()) == [1, 2, 3]
+
+    def test_deliveries_are_ordered_per_link(self, source):
+        log: list[tuple[str, object]] = []
+
+        class Recorder:
+            def __init__(self, name):
+                self.name = name
+
+            def deliver(self, message):
+                log.append((self.name, message.payload))
+
+        propagator = (
+            Propagator(source, "outbox")
+            .add_link(PropagationLink("a", service=Recorder("a")))
+            .add_link(PropagationLink("b", service=Recorder("b")))
+        )
+        source.publish_batch("outbox", [1, 2])
+        assert propagator.pump() == 2
+        assert log == [("a", 1), ("a", 2), ("b", 1), ("b", 2)]
+
+    @staticmethod
+    def _flaky_link(clock, transform=None):
+        """A broker link whose first publish raises."""
+        injector = FaultInjector()
+        remote = QueueBroker(Database(clock=clock, faults=injector), name="flaky")
+        remote.create_queue("inbox")
+        injector.arm(BROKER_PUBLISH, raise_fault("link down"), policy=on_hit(1))
+        return remote, PropagationLink(
+            "r", broker=remote, queue_name="inbox", transform=transform
+        )
+
+    def test_fallback_reuses_the_copies(self, source, clock):
+        built: list[object] = []
+
+        def count(message: Message) -> Message:
+            built.append(message.payload)
+            return message
+
+        remote, link = self._flaky_link(clock, transform=count)
+        propagator = Propagator(source, "outbox").add_link(link)
+        source.publish_batch("outbox", [1, 2, 3])
+        assert propagator.pump() == 3
+        # The batch raised and each copy was then published on its own,
+        # but transform ran once per message.
+        assert built == [1, 2, 3]
+        assert [m.payload for m in remote.queue("inbox").browse()] == [1, 2, 3]
+        assert propagator.stats["forwarded"] == 3
+        fallbacks = source.db.obs.counter("prop.batch_fallbacks", source="outbox")
+        assert fallbacks.value == 1
+
+    def test_a_failed_batch_of_one_is_that_message_failing(self, source, clock):
+        # Nothing to isolate: the message fails this pump (no second
+        # publish, no fallback) and is retried after its backoff.
+        remote, link = self._flaky_link(clock)
+        propagator = Propagator(source, "outbox", base_backoff=0.1).add_link(link)
+        source.publish("outbox", "x")
+        assert propagator.pump() == 0
+        assert (link.delivered, link.failed) == (0, 1)
+        assert remote.queue("inbox").depth() == 0
+        assert "prop.batch_fallbacks{source=outbox}" not in (
+            source.db.metrics()["counters"]
+        )
+        clock.advance(1.0)
+        assert propagator.pump() == 1
+        assert [m.payload for m in remote.queue("inbox").browse()] == ["x"]
+
+
 class TestRetryAndDeadLetter:
     def test_failure_retries_with_backoff(self, source, clock):
         service = FlakyService(failures=2)
