@@ -36,7 +36,7 @@ except ImportError:
 
 from repro.clock import SimulatedClock
 from repro.db import Database
-from repro.db.wal import WAL_FORMAT_VERSION, WAL_MAGIC
+from repro.db.wal import WAL_FORMAT_VERSION, WAL_MAGIC, iter_frames
 from repro.errors import FaultInjectedError, TornTailWarning
 from repro.faults import WAL_TORN_WRITE, FaultInjector, on_hit, torn_write
 from repro.queues import QueueBroker
@@ -131,10 +131,14 @@ def run_file_experiment(op_counts=FILE_OP_COUNTS) -> list[dict]:
                 reference = {
                     rowid: row for rowid, row in db.catalog.table("t").scan()
                 }
-                wal_bytes = os.path.getsize(path)
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                wal_bytes = len(data)
+                # Each frame is <length>:<crc32>:<json>\n; the JSON and
+                # its newline are what plain JSONL would have written.
                 payload_bytes = sum(
-                    len(record.to_json(version).encode("utf-8")) + 1
-                    for record in db.wal.records()
+                    len(data[start:end].split(b":", 2)[2])
+                    for start, end, _record in iter_frames(data)
                 )
                 started = time.perf_counter()
                 reborn = Database(path=path, clock=SimulatedClock())

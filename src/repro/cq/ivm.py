@@ -179,9 +179,8 @@ class MaterializedView:
 
         Raises:
             StreamError: the journal no longer reaches back to
-                ``start_lsn`` (records after it were truncated away, or
-                lie below a reopened v3 journal's checkpoint), which
-                would silently produce a view missing history.
+                ``start_lsn`` (records after it were truncated away),
+                which would silently produce a view missing history.
         """
         if self._reader is not None:
             raise StreamError(f"view {self.name!r} is already table-bound")

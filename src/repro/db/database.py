@@ -18,7 +18,6 @@ evaluation happen), not about fine-grained concurrency control.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.clock import Clock, WallClock
@@ -319,10 +318,7 @@ class Database:
         (self._m_inserts, self._m_updates, self._m_deletes, self._m_commits,
          self._m_rollbacks) = self.statistics.counters.values()
         if path and len(self.wal):
-            self._rebuild_from_records(
-                self.wal.records(durable_only=True),
-                deltas=self.wal.load_report.version >= 3,
-            )
+            self._rebuild_from_records(self.wal.recovered_records())
 
     def metrics(self) -> dict[str, Any]:
         """One coherent observability snapshot for this database.
@@ -1075,17 +1071,13 @@ class Database:
 
         Models a process crash: unflushed journal records, in-memory
         table state, and un-journaled (programmatic) triggers are lost;
-        everything else is rebuilt by redo.
+        everything else is rebuilt by redo — for a file-backed database,
+        from the file, exactly as a reopen recovers.
         """
-        records = self.wal.crash()
-        self._rebuild_from_records(records)
+        self._rebuild_from_records(self.wal.crash())
 
-    def _rebuild_from_records(
-        self, records: list[LogRecord], *, deltas: bool = False
-    ) -> None:
-        """Rebuild every table from ``records``.  With ``deltas`` (they
-        were read from a v3 file) the journal then keeps only what redo
-        gave full images: the records from the newest checkpoint on."""
+    def _rebuild_from_records(self, records: list[LogRecord]) -> None:
+        """Rebuild every table from the durable journal ``records``."""
         plan = analyze(records)
         self.catalog = Catalog()
         self.locks = LockManager(timeout=self.locks._timeout)
@@ -1117,12 +1109,11 @@ class Database:
             self.transactions.set_next_txid(plan.max_txid + 1)
 
         skipped_triggers: list[str] = []
-        rebuilt: dict[int, LogRecord] = {}
         for record in plan.redo_records:
             verify_redo_record(record)
             try:
                 if record.op in DML_OPS:
-                    rebuilt[record.lsn] = self._redo_row(record)
+                    self._redo_row(record)
                 elif (skipped := self._redo_schema(record)) is not None:
                     skipped_triggers.append(skipped)
             except RecoveryError:
@@ -1138,28 +1129,21 @@ class Database:
                     rowid=record.rowid,
                 ) from exc
         self.recovery_skipped_triggers = skipped_triggers
-        if deltas:
-            floor = plan.checkpoint.lsn if plan.checkpoint is not None else 0
-            self.wal.retain(
-                [rebuilt.get(r.lsn, r) for r in records if r.lsn >= floor]
-            )
         # The whole catalog was just rebuilt; plans cached before the
         # crash/attach must not survive it.
         self._bump_schema_version()
 
-    def _redo_row(self, record: LogRecord) -> LogRecord:
-        """Apply one committed row change; returns the record with full
-        row images.  A v3 update carries only its changed columns and a
-        v3 delete only its rowid, so the images come from the row being
-        changed — at this point of the replay, the row the change saw."""
+    def _redo_row(self, record: LogRecord) -> None:
+        """Apply one committed row change.  A v3 update carries only its
+        changed columns and a v3 delete only its rowid, which is all
+        redo needs."""
         table = self.catalog.table(record.table)
         if record.op == OP_INSERT:
             table.insert(record.after, rowid=record.rowid)
-            return record
-        if record.op == OP_UPDATE:
-            before = table.update(record.rowid, record.after)
-            return replace(record, before=before, after=table.get(record.rowid))
-        return replace(record, before=table.delete(record.rowid))
+        elif record.op == OP_UPDATE:
+            table.update(record.rowid, record.after)
+        else:
+            table.delete(record.rowid)
 
     def _redo_schema(self, record: LogRecord) -> str | None:
         """Apply one DDL redo record; returns a skipped-trigger name when

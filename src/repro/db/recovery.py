@@ -11,8 +11,9 @@ The protocol (classic ARIES-lite, simplified by consistent checkpoints):
    the set of committed transaction ids after it.
 2. **Redo** — restore the checkpoint snapshot (if any), then reapply,
    in LSN order, every DDL/DML record whose transaction committed and
-   that no ``ROLLBACK TO`` undid (rebuilding the full row images a v3
-   journal leaves off disk).
+   that no ``ROLLBACK TO`` undid.  The same plan, replayed over plain
+   rows, rebuilds the full row images a v3 journal leaves off disk when
+   a journal reader asks for history (:func:`replay_images`).
 
 Aborted and in-flight transactions are skipped entirely, which yields
 the two correctness properties EXP-10 checks: *no committed write is
@@ -21,7 +22,7 @@ lost* and *no uncommitted write survives*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.db.expr import Expression, expression_from_dict, expression_to_dict
@@ -33,7 +34,10 @@ from repro.db.wal import (
     OP_ABORT,
     OP_CHECKPOINT,
     OP_COMMIT,
+    OP_DELETE,
+    OP_INSERT,
     OP_ROLLBACK_TO,
+    OP_UPDATE,
     LogRecord,
 )
 from repro.errors import RecoveryError
@@ -103,15 +107,24 @@ class RecoveryPlan:
 
 
 def analyze(records: list[LogRecord]) -> RecoveryPlan:
-    """Build the redo plan from the durable log prefix."""
-    plan = RecoveryPlan()
+    """Build the redo plan from the durable log prefix: its newest
+    checkpoint and the records after it."""
     checkpoint_index = -1
     for position, record in enumerate(records):
         if record.op == OP_CHECKPOINT:
-            plan.checkpoint = record
             checkpoint_index = position
-    tail = records[checkpoint_index + 1 :]
+    plan = plan_redo(records[checkpoint_index + 1 :])
+    if checkpoint_index >= 0:
+        plan.checkpoint = records[checkpoint_index]
+    return plan
 
+
+def plan_redo(tail: list[LogRecord]) -> RecoveryPlan:
+    """The redo plan of ``tail``, a stretch of journal that no
+    transaction straddles the start of: the DDL/DML records of the
+    transactions that commit in it, minus what a ``ROLLBACK TO`` undid.
+    A checkpoint inside the stretch is neither redone nor in the way."""
+    plan = RecoveryPlan()
     seen: set[int] = set()
     # LSNs of records a ROLLBACK TO undid (rare: found by walking back
     # from the marker to its savepoint).
@@ -140,6 +153,45 @@ def analyze(records: list[LogRecord]) -> RecoveryPlan:
         and record.lsn not in void
     ]
     return plan
+
+
+def replay_images(records: list[LogRecord]) -> list[LogRecord]:
+    """``records`` — a journal file's, from a checkpoint or from its
+    first record — with full row images on every change redo applies.
+
+    A v3 file journals an update as the columns it changed and a delete
+    as its rowid.  This is the redo a reopen runs, over plain rows: the
+    committed changes of :func:`plan_redo`, in LSN order, on the rows
+    of the checkpoint they follow; each image is the row the change
+    found or left, as the writer's memory held it.  A record redo does
+    not apply (another transaction's, or one a ``ROLLBACK TO`` undid)
+    comes back as it was read; no journal reader ever returns it.
+    """
+    redo = {record.lsn for record in plan_redo(records).redo_records}
+    tables: dict[str | None, dict[int, dict[str, Any]]] = {}
+    rebuilt: list[LogRecord] = []
+    for record in records:
+        if record.op == OP_CHECKPOINT:
+            tables = {
+                name: {int(rowid): row for rowid, row in meta["rows"].items()}
+                for name, meta in record.meta["tables"].items()
+            }
+        elif record.lsn in redo:
+            # A rowid's insert always comes before its updates and its
+            # delete, so rows need no schema, and a dropped table's rows
+            # are never read again.
+            if record.op == OP_INSERT:
+                tables.setdefault(record.table, {})[record.rowid] = record.after
+            elif record.op == OP_UPDATE:
+                rows = tables[record.table]
+                before = rows[record.rowid]
+                rows[record.rowid] = {**before, **record.after}
+                record = replace(record, before=before, after=rows[record.rowid])
+            elif record.op == OP_DELETE:
+                before = tables[record.table].pop(record.rowid)
+                record = replace(record, before=before)
+        rebuilt.append(record)
+    return rebuilt
 
 
 def verify_redo_record(record: LogRecord) -> None:

@@ -18,16 +18,24 @@ every commit, so committed work always survives; with
 committed-but-unflushed transactions — the classic trade the tutorial's
 "performance vs recoverability" bullet points at.
 
+**Memory.** A file-backed journal keeps in memory only what someone
+still needs: the records not yet flushed, the records of transactions
+still open, and the durable records a live :class:`JournalReader` has
+not yet read past.  Everything older is served from the file
+(:meth:`WriteAheadLog.records_from`), so a long run's memory does not
+grow with its history.  An in-memory journal keeps every record: its
+list is its disk.
+
 **On-disk format.** Framed journals start with a ``%REPRO-WAL <v>``
 header line; every record is one *frame* — a line of the form
 ``<length>:<crc32-hex>:<json>`` where ``length`` is the byte length of
 the JSON payload and the CRC covers those bytes.  Version 3 (new files)
 journals each change as a delta — an update carries only the columns it
 changed, a delete only its rowid (:meth:`LogRecord.to_json`) — while the
-in-memory records keep full row images; recovery rebuilds the images of
-the records it replays from the rows they change.  Version 2 records
-carry full images on disk too.  Loading a journal is therefore an
-*analysis pass*, not a trusting parse:
+in-memory records keep full row images; whoever reads the file back
+(recovery, or a reader of history) rebuilds the images by redo.
+Version 2 records carry full images on disk too.  Loading a journal is
+therefore an *analysis pass*, not a trusting parse:
 
 * a **torn tail** — invalid bytes after the last decodable commit
   (truncated or garbled final frame, the signature of dying mid-write)
@@ -48,6 +56,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
@@ -359,9 +368,11 @@ def _classify_bad_frame(
 class WriteAheadLog:
     """Append-only journal with an explicit durability horizon.
 
-    In-memory by default; pass ``path`` to also persist records to a
-    JSON-lines file on each :meth:`flush` (used by the cross-process
-    recovery tests).
+    In-memory by default; pass ``path`` to persist records to a framed
+    file on each :meth:`flush`, after which memory keeps only what is
+    still needed (module docstring, "Memory"; :attr:`memory_records`).
+    ``len()``, :attr:`first_lsn` and :attr:`durable_lsn` describe the
+    whole journal, file included.
 
     **Group commit** (``group_commit_size`` / ``group_commit_window``):
     with ``sync_policy="commit"`` the database calls
@@ -398,13 +409,29 @@ class WriteAheadLog:
         self.group_commit_window = group_commit_window
         self._pending_commits = 0
         self._oldest_pending_ts: float | None = None
+        # The journal's newest records, LSN-contiguous up to last_lsn:
+        # every record of an in-memory journal; for a file-backed one,
+        # the unflushed tail plus what _release() has not dropped yet.
         self._records: list[LogRecord] = []
         # JSON lines pre-rendered at append time (file-backed WAL only):
         # validates serializability *before* the record enters the log
         # and moves encoding cost out of the flush critical section.
         self._encoded: dict[int, str] = {}
         self._next_lsn = 1
-        self._durable_count = 0
+        self._durable_lsn = 0
+        # How many durable records the journal holds, and the oldest
+        # one's LSN (meaningful only while there is one).
+        self._durable_records = 0
+        self._base_lsn = 1
+        # BEGIN LSN of each transaction that has neither committed nor
+        # aborted, oldest first: memory keeps its records, because a
+        # reader of history could not rebuild their images from a file
+        # that does not yet say whether they commit.
+        self._open: dict[int, int] = {}
+        #: The live readers; each pins the records after its position.
+        self._readers: weakref.WeakSet[JournalReader] = weakref.WeakSet()
+        # What the last load decoded, until the owner takes it for redo.
+        self._loaded: list[LogRecord] = []
         # New journals use the framed format; attaching to an existing
         # file adopts its version so one file never mixes formats.
         self._format_version = WAL_FORMAT_VERSION
@@ -415,6 +442,7 @@ class WriteAheadLog:
         self._m_fsyncs = metrics.counter("wal.fsyncs")
         self._m_bytes = metrics.counter("wal.bytes")
         self._m_batch = metrics.histogram("wal.group_commit_batch")
+        metrics.gauge_fn("wal.memory_records", lambda: self.memory_records)
         if path and os.path.exists(path + RECLAIM_SUFFIX):
             # A reclaim died before its rename, so the journal itself is
             # whole; the half-made copy is garbage.
@@ -427,13 +455,13 @@ class WriteAheadLog:
             data = handle.read()
         report = scan_wal_bytes(data)  # raises on mid-log corruption
         self._format_version = report.version
+        records, report.records = report.records, []
         self.load_report = report
-        self._records = report.records
         if report.torn:
             warnings.warn(
                 f"journal {path!r}: truncating torn tail "
                 f"({report.dropped_bytes} bytes after LSN "
-                f"{report.records[-1].lsn if report.records else 0}: "
+                f"{records[-1].lsn if records else 0}: "
                 f"{report.torn_reason})",
                 TornTailWarning,
                 stacklevel=3,
@@ -442,9 +470,19 @@ class WriteAheadLog:
                 handle.truncate(report.good_bytes)
                 handle.flush()
                 os.fsync(handle.fileno())
-        self._durable_count = len(self._records)
-        if self._records:
-            self._next_lsn = self._records[-1].lsn + 1
+        self._loaded = records
+        self._durable_records = len(records)
+        if records:
+            self._base_lsn = records[0].lsn
+            self._durable_lsn = records[-1].lsn
+            self._next_lsn = self._durable_lsn + 1
+
+    def recovered_records(self) -> list[LogRecord]:
+        """The durable records the last open (or :meth:`crash`) read
+        from the file, as they are on disk, for the owner's redo.  They
+        are handed over once and not kept."""
+        records, self._loaded = self._loaded, []
+        return records
 
     def _fire(self, name: str, **site: Any) -> "FaultContext | None":
         """Consult the fault injector at failpoint ``name`` (no-op when
@@ -454,6 +492,13 @@ class WriteAheadLog:
         return self.faults.fire(name, wal=self, **site)
 
     def __len__(self) -> int:
+        """Records in the journal: the durable ones plus the unflushed
+        tail."""
+        return self._durable_records + self._next_lsn - 1 - self._durable_lsn
+
+    @property
+    def memory_records(self) -> int:
+        """Records held in memory (the ``wal.memory_records`` gauge)."""
         return len(self._records)
 
     @property
@@ -467,10 +512,12 @@ class WriteAheadLog:
 
     @property
     def first_lsn(self) -> int:
-        """LSN of the oldest *retained* record — greater than 1 once
-        :meth:`truncate_before` has reclaimed a prefix.  An empty (or
-        fully truncated) journal reports ``last_lsn + 1``: nothing is
-        retained, so history reaches back only to the tail."""
+        """LSN of the journal's oldest record: 1 until
+        :meth:`truncate_before` reclaims a prefix, then the first record
+        it kept.  An empty (or fully truncated) journal reports
+        ``last_lsn + 1``: history reaches back only to the tail."""
+        if self._durable_records:
+            return self._base_lsn
         if self._records:
             return self._records[0].lsn
         return self._next_lsn
@@ -478,9 +525,7 @@ class WriteAheadLog:
     @property
     def durable_lsn(self) -> int:
         """LSN of the last record guaranteed to survive a crash."""
-        if self._durable_count == 0:
-            return 0
-        return self._records[self._durable_count - 1].lsn
+        return self._durable_lsn
 
     def append(
         self,
@@ -514,6 +559,10 @@ class WriteAheadLog:
             self._encoded[record.lsn] = record.to_json(self._format_version)
         self._next_lsn += 1
         self._records.append(record)
+        if op == OP_BEGIN:
+            self._open[txid] = record.lsn
+        elif op == OP_COMMIT or op == OP_ABORT:
+            self._open.pop(txid, None)
         if self.sync_policy == "always":
             self.flush()
         return record
@@ -557,18 +606,23 @@ class WriteAheadLog:
         flush write only part (or a corrupted copy) of its final frame
         and raise, modeling a crash mid-write; the in-memory instance
         must then be abandoned and recovery run from the file.
+
+        Every flush, even one with nothing to write, then releases what
+        a file-backed journal's memory no longer needs to hold (see
+        :class:`WriteAheadLog`).
         """
         batch = self._pending_commits
         self._pending_commits = 0
         self._oldest_pending_ts = None
-        if self._durable_count == len(self._records):
+        last = self._next_lsn - 1
+        if last == self._durable_lsn:
+            self._release()
             return
         self._fire("wal.pre_flush")
+        first = self._records[0].lsn
+        records = self._records[self._durable_lsn + 1 - first : last + 1 - first]
         if self.path:
-            frames = [
-                self._frame_for(record)
-                for record in self._records[self._durable_count :]
-            ]
+            frames = [self._frame_for(record) for record in records]
             torn = self._fire("wal.flush.torn", frames=frames)
             with open(self.path, "ab") as handle:
                 if handle.tell() == 0 and self._format_version >= 2:
@@ -585,13 +639,33 @@ class WriteAheadLog:
                     f"torn write ({torn.result['mode']}) during flush",
                     failpoint="wal.flush.torn",
                 )
-        self._durable_count = len(self._records)
+        if not self._durable_records:
+            self._base_lsn = records[0].lsn
+        self._durable_records += len(records)
+        self._durable_lsn = last
         self._m_fsyncs.inc()
         if batch:
             # Commits covered by this one fsync — the group-commit
             # amortization EXP-2 sweeps; 1 means no coalescing happened.
             self._m_batch.observe(batch)
+        self._release()
         self._fire("wal.post_flush")
+
+    def _release(self) -> None:
+        """Drop from a file-backed journal's memory the durable records
+        at or below the lowest position anyone still reads from: a live
+        reader's, or the one just before the oldest open transaction.
+        With neither, that is every durable record."""
+        if self.path is None:
+            return
+        floor = self._durable_lsn
+        if self._open:
+            floor = min(floor, next(iter(self._open.values())) - 1)
+        for reader in self._readers:
+            floor = min(floor, reader.position)
+        records = self._records
+        if records and floor >= records[0].lsn:
+            del records[: floor + 1 - records[0].lsn]
 
     @staticmethod
     def _tear(data: bytes, last_frame: str, directive: dict[str, Any]) -> bytes:
@@ -609,73 +683,105 @@ class WriteAheadLog:
 
     def crash(self) -> list[LogRecord]:
         """Simulate a crash: drop non-durable records and return the
-        durable prefix (what recovery will see)."""
-        self._records = self._records[: self._durable_count]
+        durable journal (what recovery will see).  A file-backed journal
+        is read back from its file, exactly as a reopen reads it."""
         self._encoded = {}
         self._pending_commits = 0
         self._oldest_pending_ts = None
-        if self._records:
-            self._next_lsn = self._records[-1].lsn + 1
-        else:
-            self._next_lsn = 1
-        return list(self._records)
+        self._open = {}
+        if self.path is None:
+            unflushed = self._next_lsn - 1 - self._durable_lsn
+            del self._records[len(self._records) - unflushed :]
+            self._next_lsn = self._durable_lsn + 1
+            return list(self._records)
+        self._records = []
+        self._next_lsn, self._durable_lsn, self._durable_records = 1, 0, 0
+        if os.path.exists(self.path):
+            self._load_existing(self.path)
+        return self.recovered_records()
 
-    def retain(self, records: list[LogRecord]) -> None:
-        """Keep only ``records`` in memory: recovery from a v3 file
-        hands back the durable records from the newest checkpoint on,
-        with the images redo rebuilt.  Older records are not kept (redo
-        could not rebuild their images), so :attr:`first_lsn` becomes
-        the checkpoint's and a reader below it raises."""
-        self._records = records
-        self._durable_count = len(records)
+    def records(self) -> list[LogRecord]:
+        """Every record in the journal, oldest first."""
+        return self.records_from(self.first_lsn - 1)
 
-    def records(self, *, durable_only: bool = False) -> list[LogRecord]:
-        if durable_only:
-            return list(self._records[: self._durable_count])
-        return list(self._records)
+    def records_from(self, lsn: int) -> list[LogRecord]:
+        """The records with LSN strictly greater than ``lsn``, full row
+        images included.  Those memory no longer holds come from the
+        file (:meth:`_history`)."""
+        records = self._records
+        first = records[0].lsn if records else self._next_lsn
+        if lsn + 1 >= first:
+            return records[lsn + 1 - first :]
+        if self.path is None:
+            return records[:]
+        return self._history(lsn, first) + records
 
-    def records_from(self, lsn: int) -> Iterator[LogRecord]:
-        """Yield records with LSN strictly greater than ``lsn``."""
-        # Records are LSN-ordered; binary search would work but the
-        # journal reader always resumes near the tail, so scan from an
-        # estimated offset.
-        start = min(max(lsn, 0), len(self._records))
-        while start > 0 and self._records[start - 1].lsn > lsn:
-            start -= 1
-        for record in self._records[start:]:
-            if record.lsn > lsn:
-                yield record
+    def _history(self, after: int, before: int) -> list[LogRecord]:
+        """The file's records with ``after < lsn < before``, with the full
+        row images a v3 file leaves off disk rebuilt by redo.  The replay
+        starts from the newest checkpoint at or below ``after``, or from
+        the file's first record.  It reads the whole file: analysis must
+        see the fate of every transaction, and each one with a record
+        below ``before`` has ended (memory keeps the open ones)."""
+        from repro.db.recovery import replay_images  # recovery imports this module
+
+        with open(self.path, "rb") as handle:
+            records = scan_wal_bytes(handle.read()).records
+        start = 0
+        for index, record in enumerate(records):
+            if record.lsn > after:
+                break
+            if record.op == OP_CHECKPOINT:
+                start = index
+        return [
+            record
+            for record in replay_images(records[start:])
+            if after < record.lsn < before
+        ]
 
     def truncate_before(self, lsn: int) -> int:
-        """Drop records with LSN < ``lsn`` (post-checkpoint log reclaim).
-        Returns the number of records dropped.
+        """Drop the durable records with LSN < ``lsn`` (post-checkpoint
+        log reclaim).  Returns the number of records dropped.
 
         A file-backed journal is replaced, never rewritten in place: the
-        kept durable records are written in the file's own format to a
-        sibling (``<path>.reclaim``), which is fsynced and renamed over
-        the journal, and then the directory is fsynced.  A crash at any
-        point leaves the old journal or the new one, and the next open
-        deletes a leftover sibling.  Failpoint ``wal.truncate`` fires
-        with ``stage="synced"`` (sibling durable, journal untouched) and
-        ``stage="renamed"`` (journal replaced, rename not yet durable).
+        frames it keeps are copied byte for byte, behind the file's own
+        header, to a sibling (``<path>.reclaim``), which is fsynced and
+        renamed over the journal, and then the directory is fsynced.  A
+        crash at any point leaves the old journal or the new one, and
+        the next open deletes a leftover sibling.  Failpoint
+        ``wal.truncate`` fires with ``stage="synced"`` (sibling durable,
+        journal untouched) and ``stage="renamed"`` (journal replaced,
+        rename not yet durable).
         """
-        kept = [record for record in self._records if record.lsn >= lsn]
-        dropped = len(self._records) - len(kept)
-        durable = max(0, self._durable_count - dropped)
-        if self.path:
-            self._replace_file(kept[:durable])
-        self._records = kept
-        self._durable_count = durable
+        lsn = min(lsn, self._durable_lsn + 1)
+        records = self._records
+        held = min(max(0, lsn - records[0].lsn), len(records)) if records else 0
+        dropped = self._replace_file(lsn) if self.path else held
+        del records[:held]
+        if dropped:
+            # LSNs are contiguous, so the oldest record kept is ``lsn``.
+            self._durable_records -= dropped
+            self._base_lsn = lsn
         return dropped
 
-    def _replace_file(self, records: list[LogRecord]) -> None:
+    def _replace_file(self, lsn: int) -> int:
+        """Reclaim the file's frames below ``lsn``; returns how many it
+        dropped."""
+        if not os.path.exists(self.path):
+            return 0
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        version, keep_from = _header_version(data)
+        dropped = 0
+        for _start, end, record in iter_frames(data):
+            if record is None or record.lsn >= lsn:
+                break
+            dropped, keep_from = dropped + 1, end
         sibling = self.path + RECLAIM_SUFFIX
         with open(sibling, "wb") as handle:
-            if self._format_version >= 2:
-                handle.write(_HEADERS[self._format_version])
-            handle.write(
-                "".join(self._frame_for(record) for record in records).encode("utf-8")
-            )
+            if version >= 2:
+                handle.write(_HEADERS[version])
+            handle.write(data[keep_from:])
             handle.flush()
             os.fsync(handle.fileno())
         self._fire("wal.truncate", stage="synced")
@@ -686,6 +792,7 @@ class WriteAheadLog:
             os.fsync(directory)
         finally:
             os.close(directory)
+        return dropped
 
 
 class JournalReader:
@@ -697,10 +804,12 @@ class JournalReader:
     Records of uncommitted or aborted transactions, and records a
     ``ROLLBACK TO`` undid, are never surfaced.
 
-    A reader never skips records silently: when the journal no longer
-    holds the records right after its position (a reclaim, or a
-    reopened v3 journal, which keeps nothing below its newest
-    checkpoint), creating or polling it raises :class:`StreamError`.
+    A reader never skips, it pins what it has not read: while it is
+    alive, the journal keeps in memory the records after its position,
+    and a reader that starts below what memory holds reads the file.
+    Its reach is the journal's first record (``first_lsn``); when the
+    records right after its position are gone (a reclaim), creating or
+    polling it raises :class:`StreamError`.
     """
 
     def __init__(self, wal: WriteAheadLog, start_lsn: int = 0) -> None:
@@ -709,6 +818,7 @@ class JournalReader:
         # DML records of transactions whose fate we have not yet seen.
         self._pending: dict[int, list[LogRecord]] = {}
         self._check_reach()
+        wal._readers.add(self)
 
     @property
     def position(self) -> int:
@@ -720,9 +830,9 @@ class JournalReader:
         if self._position + 1 < first:
             raise StreamError(
                 f"journal no longer reaches back to LSN {self._position}: "
-                f"records before LSN {first} are gone (log reclaim, or a "
-                "reopened journal's checkpoint); resume from a checkpoint "
-                f"snapshot with start_lsn >= {first - 1}"
+                f"records before LSN {first} are gone (log reclaim); "
+                "resume from a checkpoint snapshot with "
+                f"start_lsn >= {first - 1}"
             )
 
     def poll(self) -> list[LogRecord]:

@@ -1,13 +1,14 @@
-"""Journal format v3: deltas on disk, full images in memory.
+"""Journal format v3: deltas on disk, full images to every reader.
 
 A v3 file carries an update as its changed columns and a delete as its
-rowid; redo rebuilds the full images when a journal is reopened.  So a
-reopened database must look, to every reader of row images, exactly
-like the one that wrote the file — and must not serve records older
-than its newest checkpoint, whose images cannot be rebuilt: a reader
-asking for them raises instead.  A delta is only right over the row it
-was taken from, so a ``ROLLBACK TO`` is journaled too, and the records
-it undid are neither replayed nor captured.
+rowid, and memory keeps only what live readers have not read; history
+is served from the file, with the full images rebuilt by redo from the
+checkpoint before it.  So a reader of row images must see the same
+changes whether it was there while they were written, came later, or
+came after a crash or a reopen — back to the file's first record, below
+which (after a reclaim) it raises instead.  A delta is only right over
+the row it was taken from, so a ``ROLLBACK TO`` is journaled too, and
+the records it undid are neither replayed nor captured.
 """
 
 from __future__ import annotations
@@ -31,11 +32,14 @@ SPEC = {"n": (None, Count), "total": ("v", Sum)}
 
 def _mixed_workload(db: Database, rng: random.Random, steps: int = 150) -> None:
     """Seeded inserts / updates / deletes, one to three per transaction,
-    about one transaction in five rolled back, and about one change in
-    eight undone by ``ROLLBACK TO`` a savepoint taken just before it."""
+    about one transaction in five rolled back, about one change in
+    eight undone by ``ROLLBACK TO`` a savepoint taken just before it,
+    and a checkpoint halfway."""
     db.execute("CREATE TABLE load (id INT PRIMARY KEY, host TEXT, v INT, note TEXT)")
     next_id = 0
-    for _ in range(steps):
+    for step in range(steps):
+        if step == steps // 2:
+            db.checkpoint()  # no truncate: the history below it stays on disk
         db.clock.advance(rng.uniform(0.0, 1.0))
         conn = db.connect()
         conn.begin()
@@ -91,19 +95,33 @@ def _refold(db: Database) -> dict:
 def test_reopen_equals_the_database_that_wrote_the_file(tmp_path, seed):
     path = str(tmp_path / "load.wal")
     db = Database(path=path, clock=SimulatedClock(start=0.0))
+    # Readers there from the start read the writer's memory...
+    capture = JournalCapture(db, from_start=True)
+    view = MaterializedView("early", SPEC, key_field="host").bind_table(db, "load")
     _mixed_workload(db, random.Random(seed))
+    live = [(e.event_type, e.timestamp, e.payload) for e in capture.poll()]
+    groups = view.snapshot().groups
+    assert groups == _refold(db)
+    db.wal.flush()
+    assert db.wal.memory_records == 0  # both readers have read it all
 
-    reopened = Database(path=path, clock=SimulatedClock(start=0.0))
-    rows = "SELECT * FROM load ORDER BY id"
-    assert reopened.query(rows) == db.query(rows)
-    # Every update and delete on disk is a delta, yet capture from the
-    # start returns the images the writer's memory held.
+    # ...readers that come later read the file: live, after a crash and
+    # after a reopen.  Every update and delete on disk is a delta, yet
+    # they see the images the writer's memory held.
     with open(path, "rb") as handle:
         on_disk = scan_wal_bytes(handle.read()).records
     assert any(r.op == OP_UPDATE for r in on_disk)
     assert all(r.before is None for r in on_disk if r.op == OP_DELETE)
-    assert _changes(reopened) == _changes(db)
-    assert _view_groups(reopened) == _view_groups(db) == _refold(reopened)
+    assert _changes(db) == live
+    assert _view_groups(db) == groups
+    rows = "SELECT * FROM load ORDER BY id"
+    written = db.query(rows)
+    reopened = Database(path=path, clock=SimulatedClock(start=0.0))
+    db.simulate_crash()
+    for recovered in (db, reopened):
+        assert recovered.query(rows) == written
+        assert _changes(recovered) == live
+        assert _view_groups(recovered) == groups == _refold(recovered)
 
 
 def test_rollback_to_savepoint_survives_reopen(tmp_path):
@@ -179,34 +197,108 @@ def test_update_records_on_disk_carry_only_changed_columns(tmp_path):
     assert delete.before == {"a": 1, "b": "long text", "c": 4}
 
 
-def test_reopened_v3_file_serves_nothing_below_the_checkpoint(tmp_path):
+def test_reopened_v3_file_replays_from_lsn_1(tmp_path):
     path = str(tmp_path / "t.wal")
     db = Database(path=path)
     db.execute("CREATE TABLE load (id INT, host TEXT, v INT)")
     db.execute("INSERT INTO load VALUES (1, 'h0', 5)")
     db.execute("UPDATE load SET v = 6")
-    checkpoint = db.checkpoint()  # no truncate: the older records stay on disk
+    db.checkpoint()  # no truncate: the older records stay on disk
     db.execute("UPDATE load SET v = 7")
 
     reopened = Database(path=path)
-    assert reopened.wal.first_lsn == checkpoint
-    assert [r.lsn for r in reopened.wal.records()][0] == checkpoint
+    assert reopened.wal.first_lsn == 1
+    assert [r.lsn for r in reopened.wal.records()] == list(range(1, len(reopened.wal) + 1))
+    # Below the checkpoint and above it, images are whole.
+    updates = [r for r in reopened.wal.records() if r.op == OP_UPDATE]
+    assert [(u.before, u.after) for u in updates] == [
+        ({"id": 1, "host": "h0", "v": 5}, {"id": 1, "host": "h0", "v": 6}),
+        ({"id": 1, "host": "h0", "v": 6}, {"id": 1, "host": "h0", "v": 7}),
+    ]
+    assert len(_changes(reopened)) == 3
+    view = MaterializedView("late", SPEC, key_field="host").bind_table(reopened, "load")
+    assert view.snapshot().groups == _refold(reopened) == {"h0": {"n": 1, "total": 7}}
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_a_reader_below_the_files_first_record_raises(tmp_path, reopen):
+    path = str(tmp_path / "t.wal")
+    db = Database(path=path)
+    db.execute("CREATE TABLE load (id INT, host TEXT, v INT)")
+    behind = JournalCapture(db, from_start=True)
+    db.execute("INSERT INTO load VALUES (1, 'h0', 5)")
+    checkpoint = db.checkpoint(truncate=True)
+    db.execute("UPDATE load SET v = 6")
+    if reopen:
+        db = Database(path=path)
+    assert db.wal.first_lsn == checkpoint
     with pytest.raises(StreamError, match="no longer reaches back"):
-        MaterializedView("late", SPEC, key_field="host").bind_table(reopened, "load")
+        behind.poll()
     # Every journal reader refuses; none skips the records silently.
     with pytest.raises(StreamError, match="no longer reaches back"):
-        JournalCapture(reopened, from_start=True)
-    assert JournalCapture(reopened).poll() == []  # from the tail it is fine
-    # From the checkpoint on, images are whole.
-    (update,) = [r for r in reopened.wal.records() if r.op == OP_UPDATE]
-    assert update.before == {"id": 1, "host": "h0", "v": 6}
-    assert update.after == {"id": 1, "host": "h0", "v": 7}
-    assert reopened.query("SELECT v FROM load") == [{"v": 7}]
+        JournalCapture(db, from_start=True)
+    with pytest.raises(StreamError, match="no longer reaches back"):
+        MaterializedView("late", SPEC, key_field="host").bind_table(db, "load")
+    # From the checkpoint on, history is whole.
+    (update,) = [r for r in db.journal_reader(checkpoint - 1).poll() if r.op == OP_UPDATE]
+    assert (update.before, update.after) == (
+        {"id": 1, "host": "h0", "v": 5},
+        {"id": 1, "host": "h0", "v": 6},
+    )
+
+
+def test_an_open_transaction_is_served_whole_once_it_commits(tmp_path):
+    # Until it ends, the file cannot say whether an open transaction
+    # commits, so history read from it could not rebuild its images:
+    # memory keeps its records, whoever else's flush comes first.
+    db = Database(path=str(tmp_path / "t.wal"))
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)")
+    db.execute("CREATE TABLE other (n INT)")
+    db.execute("INSERT INTO t VALUES (1, 1, 'x')")
+    conn = db.connect()
+    conn.begin()
+    conn.execute("UPDATE t SET a = 2 WHERE id = 1")
+    db.execute("INSERT INTO other VALUES (1)")  # another commit and flush
+    capture = JournalCapture(db, ["t"], from_start=True)
+    assert [e.event_type for e in capture.poll()] == ["t.insert"]
+    conn.commit()
+    (update,) = capture.poll()
+    assert (update.payload["old"], update.payload["new"]) == (
+        {"id": 1, "a": 1, "b": "x"},
+        {"id": 1, "a": 2, "b": "x"},
+    )
+
+
+def test_simulate_crash_recovers_what_a_reopen_recovers(tmp_path):
+    path = str(tmp_path / "t.wal")
+    db = Database(path=path, clock=SimulatedClock(start=0.0), group_commit_size=8)
+    _mixed_workload(db, random.Random(5), steps=60)
+    checkpoint = db.checkpoint(truncate=True)
+    for key in range(1000, 1010):
+        db.execute("INSERT INTO load VALUES (?, 'h0', ?, '')", (key, key))
+    db.execute("UPDATE load SET v = 0 WHERE id = 1000")
+    assert db.wal.pending_commits  # a crash loses the unflushed commits
+
+    def changes(database: Database) -> list[tuple]:
+        return [(r.op, r.before, r.after) for r in database.journal_reader(checkpoint - 1).poll()]
+
+    reopened = Database(path=path, clock=SimulatedClock(start=0.0))
+    db.simulate_crash()
+    rows = "SELECT * FROM load ORDER BY id"
+    assert db.query(rows) == reopened.query(rows)
+    assert (db.wal.first_lsn, db.wal.last_lsn, len(db.wal)) == (
+        reopened.wal.first_lsn,
+        reopened.wal.last_lsn,
+        len(reopened.wal),
+    )
+    assert reopened.wal.first_lsn == checkpoint
+    assert changes(db) == changes(reopened)
+    assert changes(db)  # the group flushed after the checkpoint was kept
 
 
 def test_a_crash_keeps_the_records_it_holds_whole(tmp_path):
-    # Records still in memory carry full images, so simulate_crash
-    # keeps them all, below the checkpoint too.
+    # A crash recovers from the file, which keeps every record below
+    # the checkpoint too.
     db = Database(path=str(tmp_path / "t.wal"))
     db.execute("CREATE TABLE load (id INT, host TEXT, v INT)")
     db.execute("INSERT INTO load VALUES (1, 'h0', 5)")

@@ -248,7 +248,6 @@ RECLAIM_CHILD = """
 import os, sys
 from unittest import mock
 from repro.db import Database
-from repro.db.wal import LogRecord
 from repro.faults import FaultInjector, call
 
 path, kill_at = sys.argv[1], sys.argv[2]
@@ -264,11 +263,12 @@ for k in range(1, 40, 5):
 def die(*_args):
     os._exit(%d)
 
-if kill_at == "encode":
-    # Die while the reclaim encodes the records it keeps.
+if kill_at == "copy":
+    # Die once the reclaim has copied the frames it keeps, before the
+    # copy is durable.
     truncate = db.wal.truncate_before
     def dying_truncate(lsn):
-        with mock.patch.object(LogRecord, "to_json", die):
+        with mock.patch.object(os, "fsync", die):
             truncate(lsn)
     db.wal.truncate_before = dying_truncate
 else:
@@ -285,12 +285,12 @@ RECLAIM_ROWS = {
 
 
 @pytest.mark.crash
-@pytest.mark.parametrize("kill_at", ["encode", "synced", "renamed"])
+@pytest.mark.parametrize("kill_at", ["copy", "synced", "renamed"])
 def test_reclaim_killed_midway_loses_no_committed_row(tmp_path, kill_at) -> None:
-    """A process killed during ``checkpoint(truncate=True)`` — while the
-    kept records are written, after the rewritten copy is durable, or
-    right after it replaced the journal — leaves a journal that still
-    recovers every committed row."""
+    """A process killed during ``checkpoint(truncate=True)`` — once the
+    kept frames are copied but not yet durable, after the copy is
+    durable, or right after it replaced the journal — leaves a journal
+    that still recovers every committed row."""
     path = str(tmp_path / "reclaim.wal")
     child = subprocess.run(
         [sys.executable, "-c", RECLAIM_CHILD, path, kill_at],
