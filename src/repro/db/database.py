@@ -5,8 +5,23 @@ funnels through :meth:`Database.insert_many` / :meth:`update_rows` /
 :meth:`delete_rows` (the single-row methods are those at n = 1), which
 enforce the write-ahead discipline:
 
-    lock → BEFORE triggers → constraint checks → journal → apply →
-    undo-log → AFTER triggers
+    lock → BEFORE triggers → constraint checks → apply → undo-log →
+    journal → AFTER triggers
+
+The table's triggers for the event are resolved once per call.  Each
+row image has one owner:
+
+* the table stores its own copy of an inserted row and replaces, never
+  mutates, a stored dict on update;
+* the journal owns the row :meth:`TableSchema.coerce_row` built for an
+  insert, and for an update or a delete the dict the table let go of
+  (``before``, which the undo log reads too) and the merged row (an
+  update's ``after``) — no copy is made for it, and no one writes to
+  them afterwards;
+* a trigger gets copies of its own, made only when the table has a
+  trigger for the event, so what it does to them reaches neither the
+  table nor the journal (a BEFORE trigger's rewrite of the new row is
+  the one sanctioned exception: it is what gets stored).
 
 Isolation is read-committed via table-granularity locks: writers hold a
 table-exclusive lock until commit; readers take a short shared lock, so
@@ -24,7 +39,6 @@ from repro.clock import Clock, WallClock
 from repro.db.catalog import Catalog
 from repro.db.expr import (
     Expression,
-    compile_expression,
     expression_from_dict,
     expression_to_dict,
 )
@@ -78,7 +92,6 @@ from repro.db.wal import (
     WriteAheadLog,
 )
 from repro.errors import (
-    ConstraintViolation,
     DatabaseError,
     RecoveryError,
     SchemaError,
@@ -688,29 +701,26 @@ class Database:
 
     def _fire_row_triggers(
         self,
-        table: str,
-        event: TriggerEvent,
+        triggers: Sequence[Trigger],
         timing: TriggerTiming,
         txid: int,
         old_row: dict[str, Any] | None,
         new_row: dict[str, Any] | None,
-        connection: "Connection | None" = None,
+        connection: "Connection",
     ) -> dict[str, Any] | None:
-        # Fast path: trigger-free tables skip context construction —
-        # on batched ingest this allocation dominated per-row trigger
-        # dispatch cost despite no trigger ever firing.
-        if not self.catalog.triggers.has(table, event):
-            return None
+        """Fire one row's ``triggers`` — those of its table, event and
+        ``timing``, which the DML call resolved once; callers skip the
+        call when there are none."""
         context = TriggerContext(
-            table=table,
-            event=event,
+            table=triggers[0].table,
+            event=triggers[0].event,
             timing=timing,
             txid=txid,
             old_row=old_row,
             new_row=new_row,
             connection=connection,
         )
-        return self.catalog.triggers.fire(table, event, timing, context)
+        return self.catalog.triggers.fire(triggers, context)
 
     def fire_statement_triggers(
         self,
@@ -721,7 +731,9 @@ class Database:
         affected_rows: int,
         connection: Connection | None = None,
     ) -> None:
-        if not self.catalog.triggers.has(table, event):
+        before, after = self.catalog.triggers.on(table, event)
+        triggers = before if timing is TriggerTiming.BEFORE else after
+        if not triggers:
             return
         context = TriggerContext(
             table=table,
@@ -732,7 +744,7 @@ class Database:
             statement_level=True,
             connection=connection,
         )
-        self.catalog.triggers.fire(table, event, timing, context)
+        self.catalog.triggers.fire(triggers, context)
 
     # -- DML core -----------------------------------------------------------------
 
@@ -742,46 +754,35 @@ class Database:
         transaction: Transaction,
         table: HeapTable,
         values: Mapping[str, Any],
+        triggers: tuple[Sequence[Trigger], Sequence[Trigger]],
     ) -> int:
-        """Insert one row into an already-locked table."""
-        incoming = dict(values)
-        rewritten = self._fire_row_triggers(
-            table.name,
-            TriggerEvent.INSERT,
-            TriggerTiming.BEFORE,
-            transaction.txid,
-            None,
-            incoming,
-            connection=connection,
-        )
-        if rewritten is not None:
-            incoming = rewritten
-        row = table.schema.coerce_row(
-            incoming,
-            check_evaluator=lambda check, r: compile_expression(check)(r),
-        )
+        """Insert one row into an already-locked table; ``triggers`` are
+        its (BEFORE, AFTER) INSERT triggers (:meth:`TriggerRegistry.on`)."""
+        txid = transaction.txid
+        before, after = triggers
+        if before:
+            incoming = dict(values)
+            rewritten = self._fire_row_triggers(
+                before, TriggerTiming.BEFORE, txid, None, incoming, connection
+            )
+            if rewritten is not None:
+                incoming = rewritten
+        else:
+            incoming = values
+        row = table.schema.coerce_row(incoming)
+        table.schema.enforce_checks(row)
         rowid = table.insert(row)
         # Undo is registered before the journal append so that a failed
         # append (e.g. an unserializable value) rolls back cleanly.
         transaction.record_undo(lambda: table.delete(rowid))
         self._mark_write(transaction)
-        self.wal.append(
-            transaction.txid,
-            OP_INSERT,
-            table=table.name,
-            rowid=rowid,
-            after=dict(row),
-        )
+        # The journal owns ``row``: the table stored its own copy.
+        self.wal.append(txid, OP_INSERT, table=table.name, rowid=rowid, after=row)
         self._m_inserts.inc()
-        self._fire_row_triggers(
-            table.name,
-            TriggerEvent.INSERT,
-            TriggerTiming.AFTER,
-            transaction.txid,
-            None,
-            dict(row),
-            connection=connection,
-        )
+        if after:
+            self._fire_row_triggers(
+                after, TriggerTiming.AFTER, txid, None, dict(row), connection
+            )
         return rowid
 
     def insert_many(
@@ -804,8 +805,9 @@ class Database:
 
         def work(connection: Connection) -> list[int]:
             transaction, table = self._locked(connection, table_name)
+            triggers = self.catalog.triggers.on(table.name, TriggerEvent.INSERT)
             return [
-                self._insert_locked(connection, transaction, table, values)
+                self._insert_locked(connection, transaction, table, values, triggers)
                 for values in batch
             ]
 
@@ -828,26 +830,25 @@ class Database:
         table: HeapTable,
         rowid: int,
         updates: Mapping[str, Any],
+        triggers: tuple[Sequence[Trigger], Sequence[Trigger]],
     ) -> None:
-        """Update one row of an already-locked table."""
-        current = table.get(rowid)
-        if current is None:
-            raise SchemaError(
-                f"table {table.name!r} has no row with rowid {rowid}"
+        """Update one row of an already-locked table; ``triggers`` are
+        its (BEFORE, AFTER) UPDATE triggers (:meth:`TriggerRegistry.on`)."""
+        txid = transaction.txid
+        before, after = triggers
+        if before:
+            current = dict(table.stored(rowid))
+            proposed = dict(current)
+            proposed.update(updates)
+            rewritten = self._fire_row_triggers(
+                before, TriggerTiming.BEFORE, txid, current, proposed, connection
             )
-        proposed = dict(current)
-        proposed.update(updates)
-        rewritten = self._fire_row_triggers(
-            table.name,
-            TriggerEvent.UPDATE,
-            TriggerTiming.BEFORE,
-            transaction.txid,
-            current,
-            proposed,
-            connection=connection,
-        )
-        if rewritten is not None:
-            proposed = rewritten
+            if rewritten is not None:
+                proposed = rewritten
+        else:
+            # No BEFORE trigger sees the row: the stored dict is only read.
+            current = table.stored(rowid)
+            proposed = updates
         effective_updates = {
             key: value
             for key, value in proposed.items()
@@ -855,36 +856,24 @@ class Database:
             or type(current[key]) is not type(value)
         }
         coerced = table.schema.coerce_update(effective_updates)
-        merged = dict(current)
-        merged.update(coerced)
-        for check, check_fn in table.schema.compiled_checks:
-            if check_fn(merged) is False:
-                raise ConstraintViolation(
-                    f"CHECK on {table.name}", detail=str(check)
-                )
+        merged = {**current, **coerced}
+        table.schema.enforce_checks(merged)
         old_row = table.update(rowid, coerced)
         transaction.record_undo(
             lambda: table.update(rowid, old_row)
         )
         self._mark_write(transaction)
+        # The journal owns ``old_row`` (the dict the table let go of)
+        # and ``merged``; triggers get copies.
         self.wal.append(
-            transaction.txid,
-            OP_UPDATE,
-            table=table.name,
-            rowid=rowid,
-            before=dict(old_row),
-            after=merged,
+            txid, OP_UPDATE, table=table.name, rowid=rowid, before=old_row, after=merged
         )
         self._m_updates.inc()
-        self._fire_row_triggers(
-            table.name,
-            TriggerEvent.UPDATE,
-            TriggerTiming.AFTER,
-            transaction.txid,
-            old_row,
-            merged,
-            connection=connection,
-        )
+        if after:
+            old_copy, new_copy = dict(old_row), dict(merged)
+            self._fire_row_triggers(
+                after, TriggerTiming.AFTER, txid, old_copy, new_copy, connection
+            )
 
     def update_rows(
         self,
@@ -906,9 +895,10 @@ class Database:
 
         def work(connection: Connection) -> int:
             transaction, table = self._locked(connection, table_name)
+            triggers = self.catalog.triggers.on(table.name, TriggerEvent.UPDATE)
             for rowid, columns in batch:
                 self._update_locked(
-                    connection, transaction, table, rowid, columns
+                    connection, transaction, table, rowid, columns, triggers
                 )
             return len(batch)
 
@@ -931,44 +921,29 @@ class Database:
         transaction: Transaction,
         table: HeapTable,
         rowid: int,
+        triggers: tuple[Sequence[Trigger], Sequence[Trigger]],
     ) -> None:
-        """Delete one row of an already-locked table."""
-        current = table.get(rowid)
-        if current is None:
-            raise SchemaError(
-                f"table {table.name!r} has no row with rowid {rowid}"
+        """Delete one row of an already-locked table; ``triggers`` are
+        its (BEFORE, AFTER) DELETE triggers (:meth:`TriggerRegistry.on`)."""
+        txid = transaction.txid
+        before, after = triggers
+        if before:
+            current = dict(table.stored(rowid))
+            self._fire_row_triggers(
+                before, TriggerTiming.BEFORE, txid, current, None, connection
             )
-        self._fire_row_triggers(
-            table.name,
-            TriggerEvent.DELETE,
-            TriggerTiming.BEFORE,
-            transaction.txid,
-            current,
-            None,
-            connection=connection,
-        )
         old_row = table.delete(rowid)
         transaction.record_undo(
             lambda: table.insert(old_row, rowid=rowid)
         )
         self._mark_write(transaction)
-        self.wal.append(
-            transaction.txid,
-            OP_DELETE,
-            table=table.name,
-            rowid=rowid,
-            before=dict(old_row),
-        )
+        # The journal owns the dict the table let go of; triggers get a copy.
+        self.wal.append(txid, OP_DELETE, table=table.name, rowid=rowid, before=old_row)
         self._m_deletes.inc()
-        self._fire_row_triggers(
-            table.name,
-            TriggerEvent.DELETE,
-            TriggerTiming.AFTER,
-            transaction.txid,
-            old_row,
-            None,
-            connection=connection,
-        )
+        if after:
+            self._fire_row_triggers(
+                after, TriggerTiming.AFTER, txid, dict(old_row), None, connection
+            )
 
     def delete_rows(
         self,
@@ -987,8 +962,9 @@ class Database:
 
         def work(connection: Connection) -> int:
             transaction, table = self._locked(connection, table_name)
+            triggers = self.catalog.triggers.on(table.name, TriggerEvent.DELETE)
             for rowid in batch:
-                self._delete_locked(connection, transaction, table, rowid)
+                self._delete_locked(connection, transaction, table, rowid, triggers)
             return len(batch)
 
         return self.run_in_transaction(conn, work)

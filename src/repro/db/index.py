@@ -11,6 +11,7 @@ correct.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ConstraintViolation, SchemaError
@@ -29,6 +30,11 @@ def _sort_key(value: Any) -> tuple[Any, ...]:
     if isinstance(value, (int, float)):
         return (1, "", float(value))
     return (2, type(value).__name__, value)
+
+
+#: Greater than every rowid: ``sort key + (_PAST_ROWIDS,)`` bisects past
+#: all the entries with that sort key.
+_PAST_ROWIDS = math.inf
 
 
 class Index:
@@ -114,13 +120,15 @@ class OrderedIndex(Index):
     with binary search has the same O(log n) search, the same ordered
     iteration, and far simpler invariants — sufficient at this scale and
     easy to verify with property tests.
+
+    Each entry is one flat tuple, ``sort key + (rowid, key)``, so rowids
+    are ordered within equal keys and every operation is a bisect or
+    two, however many rows share a key.
     """
 
     def __init__(self, name: str, table: str, column: str, unique: bool = False) -> None:
         super().__init__(name, table, column, unique)
-        # Parallel arrays: _keys[i] is the sort key of entry i.
-        self._keys: list[tuple[Any, ...]] = []
-        self._entries: list[tuple[Any, int]] = []  # (original key, rowid)
+        self._entries: list[tuple[Any, ...]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,41 +137,39 @@ class OrderedIndex(Index):
     def supports_range(self) -> bool:
         return True
 
+    def _first(self, sort_key: tuple[Any, ...]) -> int:
+        """Position of the first entry with ``sort_key``, or where it
+        would go."""
+        return bisect.bisect_left(self._entries, sort_key)
+
+    def _past(self, sort_key: tuple[Any, ...]) -> int:
+        """Position just past the last entry with ``sort_key``."""
+        return bisect.bisect_left(self._entries, sort_key + (_PAST_ROWIDS,))
+
     def insert(self, key: Any, rowid: int) -> None:
         sort_key = _sort_key(key)
-        position = bisect.bisect_left(self._keys, sort_key)
         if self.unique and key is not None:
-            if (
-                position < len(self._keys)
-                and self._keys[position] == sort_key
-            ):
+            if self._past(sort_key) > self._first(sort_key):
                 raise self._unique_violation(key)
-        # Keep rowids ordered within equal keys for determinism.
-        while (
-            position < len(self._keys)
-            and self._keys[position] == sort_key
-            and self._entries[position][1] < rowid
-        ):
-            position += 1
-        self._keys.insert(position, sort_key)
-        self._entries.insert(position, (key, rowid))
+        entry = sort_key + (rowid, key)
+        self._entries.insert(bisect.bisect_left(self._entries, entry), entry)
 
     def delete(self, key: Any, rowid: int) -> None:
         sort_key = _sort_key(key)
-        position = bisect.bisect_left(self._keys, sort_key)
-        while position < len(self._keys) and self._keys[position] == sort_key:
-            if self._entries[position][1] == rowid:
-                del self._keys[position]
-                del self._entries[position]
-                return
-            position += 1
+        entries = self._entries
+        position = bisect.bisect_left(entries, sort_key + (rowid,))
+        if (
+            position < len(entries)
+            and entries[position][-2] == rowid
+            and entries[position][:-2] == sort_key
+        ):
+            del entries[position]
 
     def lookup(self, key: Any) -> Iterator[int]:
         sort_key = _sort_key(key)
-        position = bisect.bisect_left(self._keys, sort_key)
-        while position < len(self._keys) and self._keys[position] == sort_key:
-            yield self._entries[position][1]
-            position += 1
+        entries = self._entries
+        for position in range(self._first(sort_key), self._past(sort_key)):
+            yield entries[position][-2]
 
     def range_scan(
         self,
@@ -180,28 +186,21 @@ class OrderedIndex(Index):
         """
         if low is not None:
             low_key = _sort_key(low)
-            start = (
-                bisect.bisect_left(self._keys, low_key)
-                if low_inclusive
-                else bisect.bisect_right(self._keys, low_key)
-            )
+            start = self._first(low_key) if low_inclusive else self._past(low_key)
         else:
             # Skip NULL entries, which sort first.
-            start = bisect.bisect_right(self._keys, _sort_key(None))
+            start = self._past(_sort_key(None))
         if high is not None:
             high_key = _sort_key(high)
-            stop = (
-                bisect.bisect_right(self._keys, high_key)
-                if high_inclusive
-                else bisect.bisect_left(self._keys, high_key)
-            )
+            stop = self._past(high_key) if high_inclusive else self._first(high_key)
         else:
-            stop = len(self._keys)
+            stop = len(self._entries)
+        entries = self._entries
         for position in range(start, stop):
-            key, rowid = self._entries[position]
-            if key is None:
+            entry = entries[position]
+            if entry[-1] is None:
                 continue
-            yield key, rowid
+            yield entry[-1], entry[-2]
 
     def min_key(self) -> Any:
         """Smallest non-NULL key, or None when the index is empty."""
@@ -213,11 +212,9 @@ class OrderedIndex(Index):
         """Largest key, or None when the index holds only NULLs/nothing."""
         if not self._entries:
             return None
-        key = self._entries[-1][0]
-        return key
+        return self._entries[-1][-1]
 
     def clear(self) -> None:
-        self._keys.clear()
         self._entries.clear()
 
 

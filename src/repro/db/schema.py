@@ -9,7 +9,7 @@ here and *enforced* there via unique indexes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.db.types import ColumnType
 from repro.errors import ConstraintViolation, SchemaError
@@ -90,6 +90,13 @@ class TableSchema:
             )
         self.primary_key: str | None = pk[0] if pk else None
         self._compiled_checks: list[tuple["Expression", Any]] | None = None
+        # What coerce_row does per column, resolved once: (name, the
+        # type's coercion of a non-NULL value — what ColumnType.coerce
+        # calls once NULL is ruled out — nullable, column).
+        self._plan = tuple(
+            (column.name, column.col_type._coerce, column.nullable, column)
+            for column in self.columns
+        )
 
     @property
     def compiled_checks(self) -> list[tuple["Expression", Any]]:
@@ -134,8 +141,6 @@ class TableSchema:
         values: Mapping[str, Any],
         *,
         apply_defaults: bool = True,
-        check_evaluator: Callable[["Expression", Mapping[str, Any]], Any]
-        | None = None,
     ) -> dict[str, Any]:
         """Validate and coerce an input mapping into a complete row dict.
 
@@ -143,37 +148,40 @@ class TableSchema:
         * Missing columns get their default (on insert) or raise when
           NOT NULL without a default.
         * Values are coerced to the column type.
-        * CHECK constraints are evaluated via ``check_evaluator`` (the
-          expression evaluator is injected to avoid a circular import).
+
+        CHECK constraints need the complete row: :meth:`enforce_checks`.
         """
-        normalized = {key.lower(): value for key, value in values.items()}
-        for key in normalized:
-            if key not in self._by_name:
-                raise SchemaError(
-                    f"table {self.name!r} has no column {key!r}"
-                )
+        if not values.keys() <= self._by_name.keys():
+            # Only keys that are not column names as they stand need
+            # lower-casing (or rejecting).
+            values = {key.lower(): value for key, value in values.items()}
+            for key in values:
+                if key not in self._by_name:
+                    raise SchemaError(
+                        f"table {self.name!r} has no column {key!r}"
+                    )
         row: dict[str, Any] = {}
-        for column in self.columns:
-            if column.name in normalized:
-                value = column.col_type.coerce(normalized[column.name])
+        for name, coerce, nullable, column in self._plan:
+            if name in values:
+                value = values[name]
             elif apply_defaults:
-                value = column.col_type.coerce(column.default_value())
+                value = column.default_value()
             else:
                 value = None
-            if value is None and not column.nullable:
-                raise ConstraintViolation(
-                    f"NOT NULL on {self.name}.{column.name}"
-                )
-            row[column.name] = value
-        if check_evaluator is not None:
-            for check in self.checks:
-                result = check_evaluator(check, row)
-                # SQL semantics: CHECK passes on TRUE or NULL (unknown).
-                if result is False:
-                    raise ConstraintViolation(
-                        f"CHECK on {self.name}", detail=str(check)
-                    )
+            if value is not None:
+                value = coerce(value)
+            if value is None and not nullable:
+                raise ConstraintViolation(f"NOT NULL on {self.name}.{name}")
+            row[name] = value
         return row
+
+    def enforce_checks(self, row: Mapping[str, Any]) -> None:
+        """Raise :class:`ConstraintViolation` when a CHECK constraint is
+        FALSE for the complete ``row``."""
+        for check, check_fn in self.compiled_checks:
+            # SQL semantics: CHECK passes on TRUE or NULL (unknown).
+            if check_fn(row) is False:
+                raise ConstraintViolation(f"CHECK on {self.name}", detail=str(check))
 
     def coerce_update(
         self, updates: Mapping[str, Any]

@@ -112,7 +112,7 @@ class HeapTable:
 
     def update(self, rowid: int, updates: Mapping[str, Any]) -> dict[str, Any]:
         """Apply coerced column updates to one row; returns the old row."""
-        old_row = self._require(rowid)
+        old_row = self.stored(rowid)
         new_row = dict(old_row)
         new_row.update(updates)
         self._check_uniqueness(new_row, exclude_rowid=rowid)
@@ -129,7 +129,7 @@ class HeapTable:
 
     def delete(self, rowid: int) -> dict[str, Any]:
         """Remove one row; returns it (for undo logging)."""
-        row = self._require(rowid)
+        row = self.stored(rowid)
         for index in self.indexes.values():
             index.delete(row[index.column], rowid)
         del self._rows[rowid]
@@ -137,7 +137,10 @@ class HeapTable:
             self._column_store.note_delete(rowid)
         return row
 
-    def _require(self, rowid: int) -> dict[str, Any]:
+    def stored(self, rowid: int) -> dict[str, Any]:
+        """The *stored* row dict, not a copy: read it, never write it
+        (``update`` replaces the dict, so it stays as it was read).
+        Raises :class:`SchemaError` when the row does not exist."""
         try:
             return self._rows[rowid]
         except KeyError:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.db.expr import Expression, compile_predicate
 from repro.errors import TriggerError
@@ -60,6 +60,10 @@ class TriggerContext:
 
 
 TriggerAction = Callable[[TriggerContext], Any]
+
+#: What :meth:`TriggerRegistry.on` returns for a (table, event) without
+#: triggers.
+_NO_TRIGGERS: tuple[Sequence["Trigger"], Sequence["Trigger"]] = ((), ())
 
 
 @dataclass
@@ -108,7 +112,11 @@ class TriggerRegistry:
 
     def __init__(self) -> None:
         self._triggers: dict[str, Trigger] = {}
-        self._by_table_event: dict[tuple[str, TriggerEvent], list[Trigger]] = {}
+        # (table, event) -> (BEFORE triggers, AFTER triggers), each in
+        # firing order.
+        self._by_table_event: dict[
+            tuple[str, TriggerEvent], tuple[list[Trigger], list[Trigger]]
+        ] = {}
         self._depth = 0
 
     def __len__(self) -> int:
@@ -118,18 +126,22 @@ class TriggerRegistry:
         if trigger.name in self._triggers:
             raise TriggerError(f"trigger {trigger.name!r} already exists")
         self._triggers[trigger.name] = trigger
-        bucket = self._by_table_event.setdefault(
-            (trigger.table, trigger.event), []
-        )
+        bucket = self._bucket(trigger)
         bucket.append(trigger)
         bucket.sort(key=lambda t: t.sequence)
         return trigger
+
+    def _bucket(self, trigger: Trigger) -> list[Trigger]:
+        before, after = self._by_table_event.setdefault(
+            (trigger.table, trigger.event), ([], [])
+        )
+        return before if trigger.timing is TriggerTiming.BEFORE else after
 
     def drop(self, name: str) -> None:
         trigger = self._triggers.pop(name, None)
         if trigger is None:
             raise TriggerError(f"trigger {name!r} does not exist")
-        self._by_table_event[(trigger.table, trigger.event)].remove(trigger)
+        self._bucket(trigger).remove(trigger)
 
     def get(self, name: str) -> Trigger:
         try:
@@ -140,14 +152,15 @@ class TriggerRegistry:
     def names(self) -> list[str]:
         return sorted(self._triggers)
 
-    def has(self, table: str, event: TriggerEvent) -> bool:
-        """True when any trigger is registered for (table, event).
-
-        Cheap enough to call on every row write: callers use it to skip
-        TriggerContext construction entirely on trigger-free tables,
-        which is the common case on hot DML paths.
-        """
-        return bool(self._by_table_event.get((table, event)))
+    def on(
+        self, table: str, event: TriggerEvent
+    ) -> tuple[Sequence[Trigger], Sequence[Trigger]]:
+        """The (BEFORE, AFTER) triggers registered for (table, event),
+        each in firing order (empty when there are none).  The DML core
+        resolves them once per call and hands one to :meth:`fire` per
+        row, skipping the row's context — and its copies of the row —
+        at a timing with none, the common case on hot DML paths."""
+        return self._by_table_event.get((table, event), _NO_TRIGGERS)
 
     def for_table(self, table: str) -> list[Trigger]:
         return sorted(
@@ -156,30 +169,27 @@ class TriggerRegistry:
         )
 
     def fire(
-        self,
-        table: str,
-        event: TriggerEvent,
-        timing: TriggerTiming,
-        context: TriggerContext,
+        self, triggers: Sequence[Trigger], context: TriggerContext
     ) -> dict[str, Any] | None:
-        """Run matching triggers; returns the possibly rewritten NEW row
-        for BEFORE triggers (None means unchanged)."""
-        triggers = self._by_table_event.get((table, event), ())
+        """Run those of ``triggers`` (one of the lists :meth:`on`
+        returns, for ``context.timing``) that apply; returns the possibly
+        rewritten NEW row for BEFORE triggers (None means unchanged)."""
         if not triggers:
             return None
         if self._depth >= self.MAX_DEPTH:
             raise TriggerError(
-                f"trigger cascade exceeded depth {self.MAX_DEPTH} on {table!r}"
+                f"trigger cascade exceeded depth {self.MAX_DEPTH} "
+                f"on {context.table!r}"
             )
         rewritten: dict[str, Any] | None = None
         self._depth += 1
         try:
             for trigger in triggers:
-                if trigger.timing is not timing or not trigger.applies(context):
+                if not trigger.applies(context):
                     continue
                 result = trigger.action(context)
                 if (
-                    timing is TriggerTiming.BEFORE
+                    context.timing is TriggerTiming.BEFORE
                     and isinstance(result, dict)
                     and not context.statement_level
                 ):

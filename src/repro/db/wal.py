@@ -46,6 +46,10 @@ therefore an *analysis pass*, not a trusting parse:
   committed work, so it raises :class:`~repro.errors.RecoveryError`
   naming the expected LSN and byte offset.
 
+A record is encoded and framed once, when it is appended
+(:func:`frame_record`), which is also where a value JSON cannot carry
+is refused; a flush joins the queued frames, writes them and fsyncs.
+
 Files without the header are legacy plain-JSONL (v1) journals.  A v1 or
 v2 file replays with the same torn-tail analysis and keeps appending in
 its own format, so one file never mixes formats.
@@ -59,6 +63,7 @@ import warnings
 import weakref
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
@@ -109,6 +114,42 @@ _HEADERS = {version: f"{WAL_MAGIC} {version}\n".encode() for version in (2, 3)}
 #: the journal (:meth:`WriteAheadLog.truncate_before`).
 RECLAIM_SUFFIX = ".reclaim"
 
+_new_record = object.__new__
+_set_attribute = object.__setattr__
+
+
+_CONTROL_OPS = frozenset({OP_BEGIN, OP_COMMIT, OP_ABORT})
+# ``%r`` of an int and of a finite float is what json writes for them.
+_CONTROL_FORMATS = {
+    False: '{"lsn":%r,"txid":%r,"op":"%s","table":null,"rowid":null,'
+    '"before":null,"after":null,"meta":{},"ts":%r}',
+    True: '{"lsn":%r,"txid":%r,"op":"%s","ts":%r}',
+}
+
+
+class _Unjournalable(Exception):
+    """A value JSON cannot represent (raised by the encoder's hook)."""
+
+    def __init__(self, value: Any) -> None:
+        super().__init__(value)
+        self.value = value
+
+
+def _reject(value: Any) -> Any:
+    raise _Unjournalable(value)
+
+
+# The one JSON encoder every record goes through, built once:
+# ``json.dumps`` builds an encoder and a ``default`` closure per call.
+# Same options as ``json.dumps(separators=(",", ":"))`` (ASCII only, so
+# a payload's characters are its bytes), except that it keeps no table
+# of containers it is inside: a value that contains itself recurses to
+# the interpreter's limit instead, and ``to_json`` turns both failures
+# into a WALError.  ``_encode_json(value, 0)`` returns the text's chunks.
+_encode_json = c_make_encoder(
+    None, _reject, encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -142,22 +183,30 @@ class LogRecord:
         row, an update only the columns whose value changed (their
         before and after values), a delete only its rowid.
 
+        BEGIN / COMMIT / ABORT are formatted directly; every other
+        record goes through the module's one JSON encoder, with the
+        options of ``json.dumps(separators=(",", ":"))``, so the text is
+        the same either way.
+
         Values must round-trip through JSON *faithfully*: stringifying
         unserializable values (``default=str``) would let recovery
         resurrect rows whose types silently differ from what was
         committed, so unserializable values are rejected instead.
         """
-
-        def reject(value: Any) -> Any:
-            raise WALError(
-                f"cannot journal: value of type {type(value).__name__} "
-                f"({value!r}) does not round-trip through JSON",
-                lsn=self.lsn,
-                op=self.op,
-                table=self.table,
-                rowid=self.rowid,
-            )
-
+        ts = self.ts
+        if (
+            self.op in _CONTROL_OPS
+            and type(self.lsn) is int
+            and type(self.txid) is int
+            and type(ts) is float
+            and ts - ts == 0.0  # finite: json spells inf and nan its own way
+            and self.table is None
+            and self.rowid is None
+            and self.before is None
+            and self.after is None
+            and not self.meta
+        ):
+            return _CONTROL_FORMATS[version >= 3] % (self.lsn, self.txid, self.op, ts)
         if version < 3:
             data = {
                 "lsn": self.lsn,
@@ -168,10 +217,10 @@ class LogRecord:
                 "before": self.before,
                 "after": self.after,
                 "meta": self.meta,
-                "ts": self.ts,
+                "ts": ts,
             }
         else:
-            data = {"lsn": self.lsn, "txid": self.txid, "op": self.op, "ts": self.ts}
+            data = {"lsn": self.lsn, "txid": self.txid, "op": self.op, "ts": ts}
             if self.table is not None:
                 data["table"] = self.table
             if self.rowid is not None:
@@ -195,7 +244,22 @@ class LogRecord:
                 data["after"] = after
             if self.meta:
                 data["meta"] = self.meta
-        return json.dumps(data, separators=(",", ":"), default=reject)
+        try:
+            return "".join(_encode_json(data, 0))
+        except _Unjournalable as exc:
+            reason = (
+                f"value of type {type(exc.value).__name__} ({exc.value!r}) "
+                "does not round-trip through JSON"
+            )
+        except RecursionError:
+            reason = "value nests too deeply (or contains itself) for JSON"
+        raise WALError(
+            f"cannot journal: {reason}",
+            lsn=self.lsn,
+            op=self.op,
+            table=self.table,
+            rowid=self.rowid,
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
@@ -233,10 +297,14 @@ def _header_version(data: bytes) -> tuple[int, int]:
     return 1, 0
 
 
-def encode_frame(payload: str) -> str:
-    """Frame one JSON record: ``<length>:<crc32-hex>:<json>\\n``."""
-    raw = payload.encode("utf-8")
-    return f"{len(raw)}:{zlib.crc32(raw) & 0xFFFFFFFF:08x}:{payload}\n"
+def frame_record(record: LogRecord, version: int) -> bytes:
+    """One journal line for ``record`` in format ``version``: for v2 and
+    v3 the frame ``<length>:<crc32-hex>:<json>\\n``, for v1 the bare
+    JSON line.  The journal builds it once, at append."""
+    raw = record.to_json(version).encode()
+    if version >= 2:
+        return b"%d:%08x:%s\n" % (len(raw), zlib.crc32(raw), raw)
+    return raw + b"\n"
 
 
 def _decode_frame(line: bytes, version: int) -> tuple[LogRecord | None, str]:
@@ -413,10 +481,10 @@ class WriteAheadLog:
         # every record of an in-memory journal; for a file-backed one,
         # the unflushed tail plus what _release() has not dropped yet.
         self._records: list[LogRecord] = []
-        # JSON lines pre-rendered at append time (file-backed WAL only):
-        # validates serializability *before* the record enters the log
-        # and moves encoding cost out of the flush critical section.
-        self._encoded: dict[int, str] = {}
+        # The unflushed tail's lines, framed at append (file-backed WAL
+        # only): validates serializability *before* the record enters
+        # the log, and leaves flush a join, a write and an fsync.
+        self._frames: list[bytes] = []
         self._next_lsn = 1
         self._durable_lsn = 0
         # How many durable records the journal holds, and the oldest
@@ -538,25 +606,38 @@ class WriteAheadLog:
         after: dict[str, Any] | None = None,
         meta: dict[str, Any] | None = None,
     ) -> LogRecord:
-        """Append one record; returns it with its assigned LSN."""
+        """Append one record; returns it with its assigned LSN.
+
+        The record holds ``before`` / ``after`` / ``meta`` as given, not
+        copies: the caller hands them over and does not touch them
+        again (the database's DML core passes the row it built or the
+        one the table released).
+        """
         self._fire("wal.append", op=op, txid=txid, table=table, rowid=rowid)
         self._m_appends.inc()
-        record = LogRecord(
-            lsn=self._next_lsn,
-            txid=txid,
-            op=op,
-            table=table,
-            rowid=rowid,
-            before=before,
-            after=after,
-            meta=meta or {},
-            ts=self.clock.now() if self.clock is not None else 0.0,
+        # Given its __dict__ whole: the frozen dataclass's __init__ sets
+        # each field with its own object.__setattr__ call.
+        record = _new_record(LogRecord)
+        _set_attribute(
+            record,
+            "__dict__",
+            {
+                "lsn": self._next_lsn,
+                "txid": txid,
+                "op": op,
+                "table": table,
+                "rowid": rowid,
+                "before": before,
+                "after": after,
+                "meta": meta or {},
+                "ts": self.clock.now() if self.clock is not None else 0.0,
+            },
         )
         if self.path is not None:
             # Append-time validation: a record that cannot be journaled
             # faithfully must fail *now*, inside the owning transaction,
             # not later at an unrelated commit's flush.
-            self._encoded[record.lsn] = record.to_json(self._format_version)
+            self._frames.append(frame_record(record, self._format_version))
         self._next_lsn += 1
         self._records.append(record)
         if op == OP_BEGIN:
@@ -589,14 +670,6 @@ class WriteAheadLog:
         """Committed transactions not yet covered by a flush."""
         return self._pending_commits
 
-    def _frame_for(self, record: LogRecord) -> str:
-        payload = self._encoded.pop(record.lsn, None) or record.to_json(
-            self._format_version
-        )
-        if self._format_version >= 2:
-            return encode_frame(payload)
-        return payload + "\n"
-
     def flush(self) -> None:
         """Make every appended record durable (simulated fsync).
 
@@ -619,17 +692,16 @@ class WriteAheadLog:
             self._release()
             return
         self._fire("wal.pre_flush")
-        first = self._records[0].lsn
-        records = self._records[self._durable_lsn + 1 - first : last + 1 - first]
         if self.path:
-            frames = [self._frame_for(record) for record in records]
+            # The frames stay queued until the write succeeds.
+            frames = self._frames
             torn = self._fire("wal.flush.torn", frames=frames)
+            data = b"".join(frames)
+            if torn is not None and torn.result is not None:
+                data = self._tear(data, frames[-1], torn.result)
             with open(self.path, "ab") as handle:
                 if handle.tell() == 0 and self._format_version >= 2:
                     handle.write(_HEADERS[self._format_version])
-                data = "".join(frames).encode("utf-8")
-                if torn is not None and torn.result is not None:
-                    data = self._tear(data, frames[-1], torn.result)
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -639,9 +711,10 @@ class WriteAheadLog:
                     f"torn write ({torn.result['mode']}) during flush",
                     failpoint="wal.flush.torn",
                 )
+            self._frames = []
         if not self._durable_records:
-            self._base_lsn = records[0].lsn
-        self._durable_records += len(records)
+            self._base_lsn = self._durable_lsn + 1
+        self._durable_records += last - self._durable_lsn
         self._durable_lsn = last
         self._m_fsyncs.inc()
         if batch:
@@ -668,9 +741,9 @@ class WriteAheadLog:
             del records[: floor + 1 - records[0].lsn]
 
     @staticmethod
-    def _tear(data: bytes, last_frame: str, directive: dict[str, Any]) -> bytes:
+    def _tear(data: bytes, last_frame: bytes, directive: dict[str, Any]) -> bytes:
         """Apply a torn-write directive to the batch about to be written."""
-        last_length = len(last_frame.encode("utf-8"))
+        last_length = len(last_frame)
         if directive["mode"] == "truncate":
             # Default tear point: halfway through the final frame.
             drop = directive.get("drop_bytes") or max(1, last_length // 2)
@@ -685,7 +758,7 @@ class WriteAheadLog:
         """Simulate a crash: drop non-durable records and return the
         durable journal (what recovery will see).  A file-backed journal
         is read back from its file, exactly as a reopen reads it."""
-        self._encoded = {}
+        self._frames = []
         self._pending_commits = 0
         self._oldest_pending_ts = None
         self._open = {}

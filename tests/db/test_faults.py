@@ -28,7 +28,6 @@ from repro.db.wal import (
     WAL_HEADER,
     LogRecord,
     WriteAheadLog,
-    encode_frame,
     scan_wal_bytes,
 )
 from repro.errors import (
@@ -56,6 +55,7 @@ from repro.faults import (
 )
 from repro.pubsub.delivery import DeliveryManager
 from repro.queues.broker import QueueBroker
+from tests.reference.wal_frames import encode_frame
 
 
 # --------------------------------------------------------------------------

@@ -102,11 +102,10 @@ class TestCoerceRow:
 
     def test_check_constraint_enforced(self):
         schema = make_schema(checks=[parse_expression("score >= 0")])
-        evaluator = lambda check, row: check.evaluate(row)
-        schema.coerce_row({"id": 1, "name": "x", "score": 1.0}, check_evaluator=evaluator)
+        schema.enforce_checks(schema.coerce_row({"id": 1, "name": "x", "score": 1.0}))
         with pytest.raises(ConstraintViolation):
-            schema.coerce_row(
-                {"id": 1, "name": "x", "score": -1.0}, check_evaluator=evaluator
+            schema.enforce_checks(
+                schema.coerce_row({"id": 1, "name": "x", "score": -1.0})
             )
 
     def test_check_passes_on_null(self):
@@ -116,8 +115,7 @@ class TestCoerceRow:
             [Column("a", INT)],
             checks=[parse_expression("a > 0")],
         )
-        evaluator = lambda check, row: check.evaluate(row)
-        schema.coerce_row({"a": None}, check_evaluator=evaluator)
+        schema.enforce_checks(schema.coerce_row({"a": None}))
 
 
 class TestCoerceUpdate:
