@@ -52,7 +52,8 @@ Column encodings:
   column's null mask.
 * TEXT columns are dictionary-encoded: a *sorted* array of distinct
   strings plus an ``int64`` code per row.  Sorting the dictionary makes
-  ordered comparisons against constants a ``searchsorted`` on codes.
+  code order string order, so MIN / MAX reduce codes; predicates over
+  the column evaluate once per word (see ``repro.db.expr_vector``).
 * JSON columns (and INT columns whose values overflow int64) are not
   vectorizable; expressions touching them fall back to the row path.
 
@@ -69,21 +70,13 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Mapping
 
-try:  # numpy is a declared dependency, but degrade gracefully without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the environment bakes numpy in
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.db import types as _types
 
 if TYPE_CHECKING:
     from repro.db.schema import TableSchema
     from repro.db.storage import HeapTable
-
-#: INT constants beyond this magnitude are not representable exactly in
-#: the vector kernels (int64/f64 conversion hazards); queries comparing
-#: against them fall back to the row path.
-INT64_SAFE_BOUND = 2**62
 
 #: Largest share of the projection's rows (as of its last read) the
 #: pending log may cover before the store gives up patching and rebuilds
@@ -167,8 +160,6 @@ class ColumnStore:
     """
 
     def __init__(self, table: "HeapTable") -> None:
-        if np is None:  # pragma: no cover
-            raise RuntimeError("ColumnStore requires numpy")
         self._table = table
         self._lock = threading.Lock()
         self._kinds = vector_kinds(table.schema)

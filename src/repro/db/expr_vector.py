@@ -7,20 +7,34 @@ explicitly: every boolean result is a pair ``(truth, nulls)`` of
 aligned masks with the invariant ``truth[nulls] == False`` (UNKNOWN is
 never true), so Kleene AND/OR compose by plain mask algebra.
 
-The contract with the row path is *fallback, never divergence*: any
-node shape whose vectorized semantics would not match the row path
-exactly — impure functions, CASE, string concatenation, per-row
-division-by-zero hazards, text-vs-text column comparisons, constants
-outside the int64-safe range in arithmetic — raises
-:class:`VectorFallback` at compile time, and the executor reruns the
-statement on the row path.  Kernels may also raise it at *runtime*
-(a column the store could not encode); the executor treats both alike.
+The contract with the row path is *derive or refuse*: a kernel takes
+its semantics from the row path, or it raises :class:`VectorFallback`
+and the executor reruns the statement on the row path.
 
-``compare_values`` gives the engine one quirk the kernels exploit:
-cross-type comparisons degrade to comparing *type names*, so a numeric
-column compared against a string constant has a constant result for
-every non-null row ("int"/"float" < "str") — compiled to a constant
-mask rather than falling back.
+* **Text has one definition, the scalar closure.**  A boolean-valued,
+  function-free subtree that reads exactly one TEXT column is lowered to
+  ``compile_expression(subtree)`` evaluated once per dictionary word and
+  once for NULL, gathered by code.  A word whose evaluation raises
+  refuses the batch (the row path then raises, or does not, on the rows
+  it actually visits).  A bare TEXT column keeps its dictionary codes
+  for GROUP BY keys and MIN / MAX / COUNT; any other use — compared
+  with another column, in arithmetic, ``||``, CASE — refuses.
+* **Numbers keep numpy kernels where numpy computes what Python
+  computes**: comparisons, ``+ - * / %``, negation, Kleene logic, IN and
+  BETWEEN.  They refuse where it does not: an int64 result that could
+  leave the int64 range (Python ints do not wrap), a NaN produced by
+  REAL arithmetic (``compare_values`` calls NaN equal to every number,
+  numpy equal to none), an int beyond float64's exact range compared
+  with a float or divided (numpy rounds it first), a division whose
+  divisor is not a nonzero constant, and arithmetic constants beyond
+  the int64-safe range.  A number compared with a non-number gets
+  ``compare_values``' answer, which is the same for every number.
+* Column-free subtrees fold through ``compile_expression``; one that
+  raises refuses, so the row path raises.
+
+Refusals happen at compile time, or at runtime for one batch (a column
+the store could not encode, an overflow or NaN the data produced, a
+word that raises); the executor treats both alike.
 """
 
 from __future__ import annotations
@@ -42,10 +56,9 @@ from repro.db.expr import (
     Like,
     Literal,
     UnaryOp,
-    _like_to_regex,
     compile_expression,
 )
-from repro.errors import ExpressionError
+from repro.db.types import compare_values
 
 _VECTOR_CMP: dict[str, Callable[[Any, Any], Any]] = {
     "=": _operator.eq,
@@ -56,16 +69,23 @@ _VECTOR_CMP: dict[str, Callable[[Any, Any], Any]] = {
     ">=": _operator.ge,
 }
 
+#: On int64 arrays ``%`` is numpy's remainder, which takes the sign of
+#: the divisor as Python's does.
 _VECTOR_ARITH: dict[str, Callable[[Any, Any], Any]] = {
     "+": _operator.add,
     "-": _operator.sub,
     "*": _operator.mul,
+    "/": _operator.truediv,
+    "%": _operator.mod,
 }
 
-#: Integer constants beyond this magnitude can overflow int64 kernels
-#: in *arithmetic* (numpy raises OverflowError); comparisons are exact
-#: for arbitrary Python ints and need no guard.
+#: Integer constants beyond this magnitude are refused in *arithmetic*
+#: at compile time (numpy raises OverflowError on them); comparisons are
+#: exact for arbitrary Python ints and need no guard.
 _INT64_ARITH_BOUND = 2**62
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+#: Largest magnitude up to which every int has an exact float64.
+_FLOAT_EXACT_INT = 2**53
 
 
 def _truthy(value: Any) -> bool:
@@ -78,60 +98,105 @@ class VectorFallback(Exception):
     must rerun on the row path, which has identical semantics."""
 
 
-def _vector_np() -> Any:
-    from repro.db.columnar import np
-
-    if np is None:
-        raise VectorFallback("numpy unavailable")
-    return np
+_PURE_NODES = (ColumnRef, Literal, BinaryOp, UnaryOp, IsNull, InList, Between, Like, Case)
 
 
-_PURE_CONST_NODES = (Literal, BinaryOp, UnaryOp, IsNull, InList, Between, Like, Case)
-
-
-def _pure_constant(node: Expression) -> bool:
-    """Whether a column-free subtree may be folded at compile time.
-
-    Parameters, function calls (possibly impure, re-registrable), and
-    unknown node classes are excluded — mirroring the row compiler,
-    which never folds FunctionCall.
-    """
-    if not isinstance(node, _PURE_CONST_NODES):
+def _pure(node: Expression) -> bool:
+    """Whether a subtree's closure depends on nothing but the columns it
+    reads: parameters, function calls (possibly impure, re-registrable)
+    and unknown node classes are excluded — mirroring the row compiler,
+    which never folds FunctionCall."""
+    if not isinstance(node, _PURE_NODES):
         return False
-    return all(_pure_constant(child) for child in node.children())
+    return all(_pure(child) for child in node.children())
+
+
+def _boolean_valued(node: Expression) -> bool:
+    """Whether the row path's closure for ``node`` only ever returns
+    True, False or None."""
+    if isinstance(node, BinaryOp):
+        return node.op in _COMPARISONS or node.op in ("AND", "OR")
+    if isinstance(node, UnaryOp):
+        return node.op == "NOT"
+    return isinstance(node, (IsNull, InList, Between, Like))
 
 
 def _vector_const(node: Expression) -> Any:
     try:
         return compile_expression(node)({})
-    except (ExpressionError, TypeError, ValueError, ZeroDivisionError):
+    except Exception:
         # The row path raises at evaluation; fall back so it does.
         raise VectorFallback("constant subtree raises at evaluation") from None
 
 
-def _name_sign(a: str, b: str) -> int:
-    return (a > b) - (a < b)
+def _series(batch: Any, name: str) -> Any:
+    series = batch.series(name)
+    if series is None:
+        raise VectorFallback(f"column {name!r} not encoded")
+    return series
 
 
-def _cross_type_sign(side_class: str, const: Any) -> int | None:
-    """The constant ``compare_values`` sign for every non-null value of
-    a column class against a constant of an unrelated type, or None when
-    the sign is not uniform (int and float names straddle the constant's
-    type name)."""
-    tname = type(const).__name__
-    if side_class == "num":
-        s_int = _name_sign("int", tname)
-        s_float = _name_sign("float", tname)
-        if s_int == s_float and s_int != 0:
-            return s_int
-        return None
-    sign = _name_sign("str", tname)
-    return sign if sign != 0 else None
+def _kind(side: Any) -> str:
+    """``"i"`` or ``"f"``: whether a numeric operand — a constant or an
+    array — holds ints or floats."""
+    if isinstance(side, float):
+        return "f"
+    if isinstance(side, int):
+        return "i"
+    return side.dtype.kind
+
+
+def _int_range(side: Any) -> tuple[int, int]:
+    """Least and greatest value of an int operand (constant or array)."""
+    if isinstance(side, int):
+        return side, side
+    if side.shape[0] == 0:
+        return 0, 0
+    return int(side.min()), int(side.max())
+
+
+def _refuse_int64_overflow(op: str, left: Any, right: Any) -> None:
+    """Refuse unless ``left <op> right`` stays inside int64 for every
+    pair of operand values.  ``+ - *`` over a box of ints reach their
+    extremes at its corners, computed here in Python ints."""
+    apply = _VECTOR_ARITH[op]
+    left_low, left_high = _int_range(left)
+    right_low, right_high = _int_range(right)
+    corners = [
+        apply(a, b) for a in (left_low, left_high) for b in (right_low, right_high)
+    ]
+    if min(corners) < INT64_MIN or max(corners) > INT64_MAX:
+        raise VectorFallback(f"int64 {op!r} could overflow")
+
+
+def _refuse_rounded_ints(*sides: Any) -> None:
+    """numpy rounds an int to float64 before comparing it with a float
+    or dividing it; Python compares ints and floats exactly and divides
+    two ints with one rounding.  Refuse ints float64 cannot hold."""
+    for side in sides:
+        if _kind(side) == "i":
+            low, high = _int_range(side)
+            if low < -_FLOAT_EXACT_INT or high > _FLOAT_EXACT_INT:
+                raise VectorFallback("int beyond float64's exact range")
+
+
+def _compare(cmp: Callable[[Any, Any], Any], left: Any, right: Any) -> Any:
+    """``cmp`` over two numeric operands, as ``compare_values`` orders
+    them."""
+    if _kind(left) != _kind(right):
+        _refuse_rounded_ints(left, right)
+    return cmp(left, right)
+
+
+def _refuse_nan(values: Any, nulls: Any, np: Any) -> None:
+    nan = np.isnan(values)
+    if nan.any() and (nan & ~nulls).any():
+        raise VectorFallback("REAL arithmetic produced NaN")
 
 
 def _as_bool_closure(flavor: str, fn: Any, np: Any) -> Callable[[Any], tuple[Any, Any]]:
-    """Adapt any flavor to boolean ``(truth, nulls)`` with SQL truthiness
-    (``_truthy``): nonzero numbers and non-empty strings are true."""
+    """Adapt a flavor to boolean ``(truth, nulls)`` with SQL truthiness
+    (``_truthy``): nonzero numbers are true."""
     if flavor == "bool":
         return fn
     if flavor == "const":
@@ -149,17 +214,7 @@ def _as_bool_closure(flavor: str, fn: Any, np: Any) -> Callable[[Any], tuple[Any
             return (values != 0) & ~nulls, nulls
 
         return num_fn
-
-    def text_fn(batch: Any, _fn: Any = fn, _np: Any = np) -> tuple[Any, Any]:
-        codes, nulls, dictionary = _fn(batch)
-        if dictionary.shape[0] == 0:
-            return _np.zeros(codes.shape[0], dtype=bool), nulls
-        lookup = _np.fromiter(
-            (len(s) > 0 for s in dictionary), dtype=bool, count=dictionary.shape[0]
-        )
-        return lookup[codes] & ~nulls, nulls
-
-    return text_fn
+    raise VectorFallback(f"flavor {flavor!r} in a boolean context")
 
 
 def _as_num_closure(flavor: str, fn: Any, np: Any) -> Any:
@@ -177,82 +232,71 @@ def _as_num_closure(flavor: str, fn: Any, np: Any) -> Any:
     raise VectorFallback(f"flavor {flavor!r} not numeric")
 
 
-def _vc_cmp_text_const(fn: Any, op: str, const: str, np: Any) -> Any:
-    """``text_column <op> string_constant`` on dictionary codes.  The
-    dictionary is sorted, so ordered comparisons are a searchsorted
-    bound on codes and equality is one position probe."""
+def _vc_text_predicate(node: Expression, name: str, np: Any) -> Any:
+    """``node`` reads only the TEXT column ``name``: its row-path closure
+    runs once per dictionary word and once for NULL, and each row takes
+    the result of its code."""
+    fn = compile_expression(node)
 
-    def text_cmp_fn(
-        batch: Any, _fn: Any = fn, _op: str = op, _c: str = const, _np: Any = np
+    def per_word_fn(
+        batch: Any, _fn: Any = fn, _name: str = name, _np: Any = np
     ) -> tuple[Any, Any]:
-        codes, nulls, dictionary = _fn(batch)
-        valid = ~nulls
-        m = dictionary.shape[0]
-        if m == 0:
-            return _np.zeros(codes.shape[0], dtype=bool), nulls
-        if _op in ("=", "!="):
-            pos = int(_np.searchsorted(dictionary, _c))
-            found = pos < m and dictionary[pos] == _c
-            if _op == "=":
-                if found:
-                    truth = (codes == pos) & valid
-                else:
-                    truth = _np.zeros(codes.shape[0], dtype=bool)
-            else:
-                truth = ((codes != pos) & valid) if found else valid
-        elif _op == "<":
-            truth = (codes < int(_np.searchsorted(dictionary, _c, side="left"))) & valid
-        elif _op == "<=":
-            truth = (codes < int(_np.searchsorted(dictionary, _c, side="right"))) & valid
-        elif _op == ">":
-            truth = (codes >= int(_np.searchsorted(dictionary, _c, side="right"))) & valid
-        else:  # >=
-            truth = (codes >= int(_np.searchsorted(dictionary, _c, side="left"))) & valid
-        return truth, nulls
+        series = _series(batch, _name)
+        words = series.dictionary.tolist()
+        words.append(None)
+        try:
+            results = [_fn({_name: word}) for word in words]
+        except Exception:
+            # A row holding this word makes the row path raise; the word
+            # may also be a straggler no row holds.  Either way the row
+            # path decides.
+            raise VectorFallback("text predicate raises on a word") from None
+        truth = _np.array([_truthy(value) for value in results], dtype=bool)
+        unknown = _np.array([value is None for value in results], dtype=bool)
+        slots = _np.where(series.nulls, len(words) - 1, series.values)
+        return truth[slots], unknown[slots]
 
-    return text_cmp_fn
+    return per_word_fn
 
 
 def _vc_cmp_const(flavor: str, fn: Any, op: str, const: Any, np: Any) -> Any:
     """``<array side> <op> <constant>`` as a boolean closure."""
+    num_fn = _as_num_closure(flavor, fn, np)
     if const is None:
 
-        def null_fn(batch: Any, _fn: Any = fn, _np: Any = np) -> tuple[Any, Any]:
-            nulls = _fn(batch)[1]
-            n = nulls.shape[0]
+        def null_fn(batch: Any, _fn: Any = num_fn, _np: Any = np) -> tuple[Any, Any]:
+            n = _fn(batch)[1].shape[0]
             return _np.zeros(n, dtype=bool), _np.ones(n, dtype=bool)
 
         return null_fn
-    if flavor == "bool":
-        return _vc_cmp_const("num", _as_num_closure("bool", fn, np), op, const, np)
     if isinstance(const, bool):
         const = int(const)
-    if flavor == "num" and isinstance(const, (int, float)):
+    if isinstance(const, (int, float)) and const == const:
         cmp_fn = _VECTOR_CMP[op]
 
         def num_cmp_fn(
-            batch: Any, _fn: Any = fn, _c: Any = const, _cmp: Any = cmp_fn
+            batch: Any, _fn: Any = num_fn, _c: Any = const, _cmp: Any = cmp_fn
         ) -> tuple[Any, Any]:
             values, nulls = _fn(batch)
-            return _cmp(values, _c) & ~nulls, nulls
+            return _compare(_cmp, values, _c) & ~nulls, nulls
 
         return num_cmp_fn
-    if flavor == "text" and isinstance(const, str):
-        return _vc_cmp_text_const(fn, op, const, np)
-    sign = _cross_type_sign("num" if flavor == "num" else "text", const)
-    if sign is None:
+    # A non-number, or NaN: compare_values gives every number the same
+    # answer unless ints and floats order differently against it.
+    verdicts = {compare_values(probe, const) in _CMP_OK[op] for probe in (0, 0.0)}
+    if len(verdicts) != 1:
         raise VectorFallback("comparison constant straddles type ordering")
-    truth_const = sign in _CMP_OK[op]
+    truth_const = verdicts.pop()
 
-    def const_sign_fn(
-        batch: Any, _fn: Any = fn, _t: bool = truth_const, _np: Any = np
+    def const_verdict_fn(
+        batch: Any, _fn: Any = num_fn, _t: bool = truth_const, _np: Any = np
     ) -> tuple[Any, Any]:
         nulls = _fn(batch)[1]
         if _t:
             return ~nulls, nulls
         return _np.zeros(nulls.shape[0], dtype=bool), nulls
 
-    return const_sign_fn
+    return const_verdict_fn
 
 
 def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, Any]:
@@ -288,30 +332,6 @@ def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, 
             return "bool", _vc_cmp_const(rflavor, rraw, _CMP_FLIP[op], lraw, np)
         if rflavor == "const":
             return "bool", _vc_cmp_const(lflavor, lraw, op, rraw, np)
-        # Array vs array.
-        if lflavor == "text" and rflavor == "text":
-            raise VectorFallback("text-vs-text column comparison")
-        if "text" in (lflavor, rflavor):
-            # Cross-class: compare_values degrades to type names, so the
-            # sign is constant (str sorts after int/float) for valid rows.
-            sign = 1 if lflavor == "text" else -1
-            truth_const = sign in _CMP_OK[op]
-            lnfn = lraw
-            rnfn = rraw
-
-            def cross_fn(
-                batch: Any,
-                _l: Any = lnfn,
-                _r: Any = rnfn,
-                _t: bool = truth_const,
-                _np: Any = np,
-            ) -> tuple[Any, Any]:
-                nulls = _l(batch)[1] | _r(batch)[1]
-                if _t:
-                    return ~nulls, nulls
-                return _np.zeros(nulls.shape[0], dtype=bool), nulls
-
-            return "bool", cross_fn
         lfn = _as_num_closure(lflavor, lraw, np)
         rfn = _as_num_closure(rflavor, rraw, np)
         cmp_fn = _VECTOR_CMP[op]
@@ -322,11 +342,11 @@ def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, 
             lv, ln = _l(batch)
             rv, rn = _r(batch)
             nulls = ln | rn
-            return _cmp(lv, rv) & ~nulls, nulls
+            return _compare(_cmp, lv, rv) & ~nulls, nulls
 
         return "bool", pair_cmp_fn
 
-    if op in ("+", "-", "*", "/", "%"):
+    if op in _VECTOR_ARITH:
         lflavor, lraw = _vc_node(node.left, kinds, np)
         rflavor, rraw = _vc_node(node.right, kinds, np)
 
@@ -342,7 +362,6 @@ def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, 
 
         left_side = arith_side(lflavor, lraw)
         right_side = arith_side(rflavor, rraw)
-
         if op in ("/", "%"):
             # Only a nonzero *constant* divisor is safe: with a column
             # divisor, vector evaluation would visit rows the row path
@@ -350,49 +369,32 @@ def _vc_binary(node: BinaryOp, kinds: Mapping[str, str], np: Any) -> tuple[str, 
             # could raise where the row path does not — or vice versa.
             if rflavor != "const" or right_side == 0:
                 raise VectorFallback("division requires nonzero constant divisor")
-            if lflavor == "const":
-                raise VectorFallback("constant dividend over column divisor")
-            apply_fn = _operator.truediv if op == "/" else np.mod
 
-            def div_fn(
-                batch: Any, _l: Any = left_side, _c: Any = right_side, _apply: Any = apply_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _l(batch)
-                return _apply(values, _c), nulls
-
-            return "num", div_fn
-
-        arith_fn = _VECTOR_ARITH[op]
-        if lflavor == "const":
-
-            def const_left_fn(
-                batch: Any, _c: Any = left_side, _r: Any = right_side, _apply: Any = arith_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _r(batch)
-                return _apply(_c, values), nulls
-
-            return "num", const_left_fn
-        if rflavor == "const":
-
-            def const_right_fn(
-                batch: Any, _l: Any = left_side, _c: Any = right_side, _apply: Any = arith_fn
-            ) -> tuple[Any, Any]:
-                values, nulls = _l(batch)
-                return _apply(values, _c), nulls
-
-            return "num", const_right_fn
-
-        def pair_arith_fn(
-            batch: Any, _l: Any = left_side, _r: Any = right_side, _apply: Any = arith_fn
+        def arith_fn(
+            batch: Any,
+            _l: Any = left_side,
+            _r: Any = right_side,
+            _op: str = op,
+            _apply: Any = _VECTOR_ARITH[op],
+            _np: Any = np,
         ) -> tuple[Any, Any]:
-            lv, ln = _l(batch)
-            rv, rn = _r(batch)
-            return _apply(lv, rv), ln | rn
+            lv, ln = _l(batch) if callable(_l) else (_l, None)
+            rv, rn = _r(batch) if callable(_r) else (_r, None)
+            nulls = rn if ln is None else ln if rn is None else ln | rn
+            if _kind(lv) == _kind(rv) == "i":
+                if _op == "/":
+                    _refuse_rounded_ints(lv, rv)
+                elif _op != "%":
+                    _refuse_int64_overflow(_op, lv, rv)
+            values = _apply(lv, rv)
+            if values.dtype.kind == "f":
+                _refuse_nan(values, nulls, _np)
+            return values, nulls
 
-        return "num", pair_arith_fn
+        return "num", arith_fn
 
-    # ``||`` would need runtime dictionary construction; unknown ops
-    # raise on the row path.
+    # ``||`` outside a one-TEXT-column predicate would need runtime
+    # dictionary construction; unknown ops raise on the row path.
     raise VectorFallback(f"operator {op!r} not vectorized")
 
 
@@ -404,12 +406,18 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
     ``"num"``: ``(values, nulls)``; ``"text"``: ``(codes, nulls,
     dictionary)``.  All arrays are read-only by convention.
     """
-    if not node.referenced_columns():
-        if not _pure_constant(node):
+    columns = node.referenced_columns()
+    if not columns:
+        if not _pure(node):
             raise VectorFallback(
                 f"unsupported constant node {type(node).__name__}"
             )
         return "const", _vector_const(node)
+
+    if len(columns) == 1 and _boolean_valued(node):
+        (name,) = columns
+        if kinds.get(name) == "text" and _pure(node):
+            return "bool", _vc_text_predicate(node, name, np)
 
     if isinstance(node, ColumnRef):
         kind = kinds.get(node.name)
@@ -420,9 +428,7 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
         if kind == "text":
 
             def text_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any, Any]:
-                series = batch.series(_name)
-                if series is None:
-                    raise VectorFallback(f"column {_name!r} not encoded")
+                series = _series(batch, _name)
                 return series.values, series.nulls, series.dictionary
 
             return "text", text_col_fn
@@ -433,17 +439,13 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
             # contexts convert via _as_num_closure (bool -> int64).
 
             def bool_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any]:
-                series = batch.series(_name)
-                if series is None:
-                    raise VectorFallback(f"column {_name!r} not encoded")
+                series = _series(batch, _name)
                 return series.values != 0, series.nulls
 
             return "bool", bool_col_fn
 
         def num_col_fn(batch: Any, _name: str = node.name) -> tuple[Any, Any]:
-            series = batch.series(_name)
-            if series is None:
-                raise VectorFallback(f"column {_name!r} not encoded")
+            series = _series(batch, _name)
             return series.values, series.nulls
 
         return "num", num_col_fn
@@ -466,6 +468,8 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
 
             def neg_fn(batch: Any, _fn: Any = num_fn) -> tuple[Any, Any]:
                 values, nulls = _fn(batch)
+                if _kind(values) == "i":
+                    _refuse_int64_overflow("-", 0, values)
                 return -values, nulls
 
             return "num", neg_fn
@@ -489,95 +493,58 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
         flavor, raw = _vc_node(node.operand, kinds, np)
         if flavor == "const":
             raise VectorFallback("IN over constant operand reached vector path")
-        if flavor == "bool":
-            flavor, raw = "num", _as_num_closure("bool", raw, np)
+        num_fn = _as_num_closure(flavor, raw, np)
         consts = []
         for item in node.items:
-            if item.referenced_columns() or not _pure_constant(item):
+            if item.referenced_columns() or not _pure(item):
                 raise VectorFallback("IN list with non-constant items")
             consts.append(_vector_const(item))
         saw_null = any(value is None for value in consts)
-        if flavor == "num":
-            candidates = tuple(
-                int(value) if isinstance(value, bool) else value
-                for value in consts
-                if isinstance(value, (bool, int, float))
-            )
+        # compare_values never calls a number equal to a non-number.
+        candidates = tuple(
+            int(value) if isinstance(value, bool) else value
+            for value in consts
+            if isinstance(value, (bool, int, float))
+        )
+        if any(value != value for value in candidates):
+            raise VectorFallback("NaN in IN list")
 
-            def in_num_fn(
-                batch: Any,
-                _fn: Any = raw,
-                _cands: tuple = candidates,
-                _saw_null: bool = saw_null,
-                _neg: bool = node.negated,
-                _np: Any = np,
-            ) -> tuple[Any, Any]:
-                values, nulls = _fn(batch)
-                valid = ~nulls
-                matched = _np.zeros(values.shape[0], dtype=bool)
-                for candidate in _cands:
-                    matched |= values == candidate
-                matched &= valid
-                if _neg:
-                    if _saw_null:
-                        truth = _np.zeros(values.shape[0], dtype=bool)
-                    else:
-                        truth = valid & ~matched
-                else:
-                    truth = matched
-                return truth, nulls | (valid & ~matched & _saw_null)
-
-            return "bool", in_num_fn
-
-        text_candidates = tuple(value for value in consts if isinstance(value, str))
-
-        def in_text_fn(
+        def in_num_fn(
             batch: Any,
-            _fn: Any = raw,
-            _cands: tuple = text_candidates,
+            _fn: Any = num_fn,
+            _cands: tuple = candidates,
             _saw_null: bool = saw_null,
             _neg: bool = node.negated,
             _np: Any = np,
         ) -> tuple[Any, Any]:
-            codes, nulls, dictionary = _fn(batch)
+            values, nulls = _fn(batch)
             valid = ~nulls
-            matched = _np.zeros(codes.shape[0], dtype=bool)
-            m = dictionary.shape[0]
-            if m:
-                for candidate in _cands:
-                    pos = int(_np.searchsorted(dictionary, candidate))
-                    if pos < m and dictionary[pos] == candidate:
-                        matched |= codes == pos
+            matched = _np.zeros(values.shape[0], dtype=bool)
+            for candidate in _cands:
+                matched |= _compare(_operator.eq, values, candidate)
             matched &= valid
             if _neg:
                 if _saw_null:
-                    truth = _np.zeros(codes.shape[0], dtype=bool)
+                    truth = _np.zeros(values.shape[0], dtype=bool)
                 else:
                     truth = valid & ~matched
             else:
                 truth = matched
             return truth, nulls | (valid & ~matched & _saw_null)
 
-        return "bool", in_text_fn
+        return "bool", in_num_fn
 
     if isinstance(node, Between):
         flavor, raw = _vc_node(node.operand, kinds, np)
         if flavor == "const":
             raise VectorFallback("BETWEEN over constant operand reached vector path")
         for bound in (node.low, node.high):
-            if bound.referenced_columns() or not _pure_constant(bound):
+            if bound.referenced_columns() or not _pure(bound):
                 raise VectorFallback("BETWEEN with non-constant bounds")
         low_value = _vector_const(node.low)
         high_value = _vector_const(node.high)
         if low_value is None or high_value is None:
-
-            def null_between_fn(
-                batch: Any, _fn: Any = raw, _np: Any = np
-            ) -> tuple[Any, Any]:
-                n = _fn(batch)[1].shape[0]
-                return _np.zeros(n, dtype=bool), _np.ones(n, dtype=bool)
-
-            return "bool", null_between_fn
+            return "bool", _vc_cmp_const(flavor, raw, "=", None, np)
         ge_fn = _vc_cmp_const(flavor, raw, ">=", low_value, np)
         le_fn = _vc_cmp_const(flavor, raw, "<=", high_value, np)
 
@@ -593,55 +560,8 @@ def _vc_node(node: Expression, kinds: Mapping[str, str], np: Any) -> tuple[str, 
 
         return "bool", between_fn
 
-    if isinstance(node, Like):
-        flavor, raw = _vc_node(node.operand, kinds, np)
-        if flavor != "text":
-            # Numeric operands stringify per row; not worth kernels.
-            raise VectorFallback("LIKE over non-text operand")
-        regex = node._regex
-        if regex is None:
-            if node.pattern.referenced_columns() or not _pure_constant(node.pattern):
-                raise VectorFallback("LIKE with non-constant pattern")
-            pattern_value = _vector_const(node.pattern)
-            if pattern_value is None:
-
-                def null_like_fn(
-                    batch: Any, _fn: Any = raw, _np: Any = np
-                ) -> tuple[Any, Any]:
-                    nulls = _fn(batch)[1]
-                    n = nulls.shape[0]
-                    truth = _np.zeros(n, dtype=bool)
-                    result_nulls = _np.ones(n, dtype=bool)
-                    # Non-null values with a NULL pattern are UNKNOWN;
-                    # NULL values are UNKNOWN too — all rows UNKNOWN.
-                    return truth, result_nulls
-
-                return "bool", null_like_fn
-            regex = _like_to_regex(str(pattern_value))
-
-        def like_fn(
-            batch: Any,
-            _fn: Any = raw,
-            _match: Any = regex.fullmatch,
-            _neg: bool = node.negated,
-            _np: Any = np,
-        ) -> tuple[Any, Any]:
-            codes, nulls, dictionary = _fn(batch)
-            valid = ~nulls
-            m = dictionary.shape[0]
-            if m == 0:
-                return _np.zeros(codes.shape[0], dtype=bool), nulls
-            # One regex test per *distinct* value, then a code gather.
-            lookup = _np.fromiter(
-                (_match(s) is not None for s in dictionary), dtype=bool, count=m
-            )
-            hit = lookup[codes]
-            truth = (~hit & valid) if _neg else (hit & valid)
-            return truth, nulls
-
-        return "bool", like_fn
-
-    # Case, FunctionCall, Parameter, AggregateCall, user nodes.
+    # LIKE over anything but one TEXT column, Case, FunctionCall,
+    # Parameter, AggregateCall, user nodes.
     raise VectorFallback(f"node {type(node).__name__} not vectorized")
 
 
@@ -666,10 +586,10 @@ def compile_vector_predicate(
         if isinstance(cached, VectorFallback):
             raise cached
         return cached
+    import numpy as np
+
     try:
-        np = _vector_np()
         flavor, raw = _vc_node(expression, kinds, np)
-        bool_fn = _as_bool_closure(flavor, raw, np)
         if flavor == "const":
             truth_const = _truthy(raw)
 
@@ -679,6 +599,7 @@ def compile_vector_predicate(
                 return _np.zeros(batch.n, dtype=bool)
 
         else:
+            bool_fn = _as_bool_closure(flavor, raw, np)
 
             def predicate(batch: Any, _fn: Any = bool_fn) -> Any:
                 return _fn(batch)[0]
@@ -704,8 +625,9 @@ def compile_vector_extractor(
         if isinstance(cached, VectorFallback):
             raise cached
         return cached
+    import numpy as np
+
     try:
-        np = _vector_np()
         result = _vc_node(expression, kinds, np)
     except VectorFallback as exc:
         memo[key] = exc

@@ -10,6 +10,7 @@ WAL, triggers, undo).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -24,6 +25,7 @@ from repro.db.expr import (
     rewrite,
 )
 from repro.db.expr_vector import (
+    INT64_MAX,
     VectorFallback,
     compile_vector_extractor,
     compile_vector_predicate,
@@ -539,7 +541,8 @@ _VECTORIZED_ENABLED = True
 #: Observability counters, also asserted on by the fast-path smoke
 #: tests: fast_path counts statements served from the ColumnStore,
 #: fallback_compile counts ineligible statements, fallback_runtime
-#: counts batches a compiled kernel refused (e.g. unencodable column).
+#: counts batches a compiled kernel refused (an unencodable column, a
+#: possible int64 overflow, a NaN, a text word that raises).
 VECTOR_STATS = {"fast_path": 0, "fallback_compile": 0, "fallback_runtime": 0}
 
 
@@ -563,8 +566,6 @@ def _try_vectorized(
     from repro.db import columnar
 
     np = columnar.np
-    if np is None:
-        return None
     if any(item.is_star for item in stmt.items):
         VECTOR_STATS["fallback_compile"] += 1
         return None
@@ -605,9 +606,12 @@ def _try_vectorized(
         return None
 
     try:
-        result = _run_vectorized(
-            table, base_alias, stmt, where_fn, key_extractors, agg_specs, np
-        )
+        # An inf is Python's answer too, and a NaN is refused: neither
+        # is worth a warning.
+        with np.errstate(all="ignore"):
+            result = _run_vectorized(
+                table, base_alias, stmt, where_fn, key_extractors, agg_specs, np
+            )
     except VectorFallback:
         VECTOR_STATS["fallback_runtime"] += 1
         return None
@@ -652,58 +656,59 @@ def _run_vectorized(
             evaluated[cache_key] = cached
         return cached
 
-    if not stmt.group_by:
-        aggregate_values = {}
-        for key, (name, flavor, payload) in agg_specs.items():
-            if flavor == "star":
-                aggregate_values[key] = k
-            else:
-                aggregate_values[key] = _ungrouped_aggregate(
-                    name, run_extractor(flavor, payload), k, np
-                )
-        representative = _vector_representative(
-            table, base_alias, batch, idx, 0
-        ) if k else {}
-        return _finalize_groups(stmt, [(representative, aggregate_values)])
-
     if k == 0:
-        return _finalize_groups(stmt, [])  # No rows -> no groups.
+        if stmt.group_by:
+            return _finalize_groups(stmt, [])  # No rows -> no groups.
+        # ... but an ungrouped aggregate answers one row.
+        empty = {
+            key: 0 if name == "count" else None
+            for key, (name, _flavor, _payload) in agg_specs.items()
+        }
+        return _finalize_groups(stmt, [({}, empty)])
 
-    # Dense per-key codes (0 = NULL, like the row path's equality_key
-    # tuple keys: equal raw values get equal codes within one column).
-    code_arrays = []
-    for flavor, payload in key_extractors:
-        data = run_extractor(flavor, payload)
-        if data[0] == "const":
-            code_arrays.append(np.zeros(k, dtype=np.int64))
-        elif data[0] == "bool":
-            code_arrays.append(np.where(data[2], data[1].astype(np.int64) + 1, 0))
-        elif data[0] == "text":
-            code_arrays.append(np.where(data[2], data[1] + 1, 0))
+    if stmt.group_by:
+        # Dense per-key codes (0 = NULL, like the row path's equality_key
+        # tuple keys: equal raw values get equal codes within one column).
+        code_arrays = []
+        for flavor, payload in key_extractors:
+            data = run_extractor(flavor, payload)
+            if data[0] == "const":
+                code_arrays.append(np.zeros(k, dtype=np.int64))
+            elif data[0] == "bool":
+                code_arrays.append(np.where(data[2], data[1].astype(np.int64) + 1, 0))
+            elif data[0] == "text":
+                code_arrays.append(np.where(data[2], data[1] + 1, 0))
+            else:
+                _, inverse = np.unique(data[1], return_inverse=True)
+                code_arrays.append(np.where(data[2], inverse.reshape(-1) + 1, 0))
+        if len(code_arrays) == 1:
+            _, inv = np.unique(code_arrays[0], return_inverse=True)
         else:
-            _, inverse = np.unique(data[1], return_inverse=True)
-            code_arrays.append(np.where(data[2], inverse.reshape(-1) + 1, 0))
-    if len(code_arrays) == 1:
-        _, inv = np.unique(code_arrays[0], return_inverse=True)
-    else:
-        _, inv = np.unique(
-            np.column_stack(code_arrays), axis=0, return_inverse=True
-        )
-    inv = inv.reshape(-1)
-    group_count = int(inv.max()) + 1
+            _, inv = np.unique(
+                np.column_stack(code_arrays), axis=0, return_inverse=True
+            )
+        inv = inv.reshape(-1)
+        group_count = int(inv.max()) + 1
 
-    # First-occurrence order (matches the row path's dict insertion
-    # order over a heap scan) and segment boundaries for reduceat.
-    positions = np.arange(k)
-    first = np.full(group_count, k, dtype=np.int64)
-    np.minimum.at(first, inv, positions)
-    order = np.argsort(first, kind="stable")
-    sort_order = np.argsort(inv, kind="stable")
-    sorted_inv = inv[sort_order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_inv[1:] != sorted_inv[:-1]))
-    )
-    sizes = np.bincount(inv, minlength=group_count)
+        # First-occurrence order (matches the row path's dict insertion
+        # order over a heap scan) and segment boundaries for reduceat.
+        positions = np.arange(k)
+        first = np.full(group_count, k, dtype=np.int64)
+        np.minimum.at(first, inv, positions)
+        order = np.argsort(first, kind="stable")
+        sort_order = np.argsort(inv, kind="stable")
+        sorted_inv = inv[sort_order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_inv[1:] != sorted_inv[:-1]))
+        )
+        sizes = np.bincount(inv, minlength=group_count)
+    else:
+        # Every selected row is in group 0, already in heap order.
+        group_count = 1
+        first = order = starts = np.zeros(1, dtype=np.int64)
+        sort_order = slice(None)
+        sorted_inv = np.zeros(k, dtype=np.int64)
+        sizes = np.array([k])
 
     agg_results: dict[str, list[Any]] = {}
     for key, (name, flavor, payload) in agg_specs.items():
@@ -743,62 +748,6 @@ def _vector_representative(
     return _qualify(raw, base_alias)
 
 
-def _const_aggregate(name: str, value: Any, k: int) -> Any:
-    """Aggregate over ``k`` copies of one constant, matching
-    ``_compute_aggregate`` on ``[value] * k`` exactly."""
-    if name == "count":
-        return k if value is not None else 0
-    if value is None or k == 0:
-        return None
-    if name in ("min", "max"):
-        return value
-    if name == "sum":
-        return value * k
-    if name == "avg":
-        return (value * k) / k
-    # stddev of identical values: zero spread, None below two samples.
-    return 0.0 if k >= 2 else None
-
-
-def _ungrouped_aggregate(name: str, data: tuple, k: int, np: Any) -> Any:
-    tag = data[0]
-    if tag == "const":
-        return _const_aggregate(name, data[1], k)
-    if tag == "text":
-        codes, valid, dictionary = data[1], data[2], data[3]
-        selected = codes[valid]
-        if name == "count":
-            return int(selected.shape[0])
-        if selected.shape[0] == 0:
-            return None
-        if name == "min":
-            return dictionary[int(selected.min())]
-        return dictionary[int(selected.max())]  # max (others screened)
-    is_bool = tag == "bool"
-    values = data[1].astype(np.int64) if is_bool else data[1]
-    selected = values[data[2]]
-    count = int(selected.shape[0])
-    if name == "count":
-        return count
-    if count == 0:
-        return None
-    if name == "min":
-        result = selected.min().item()
-        return bool(result) if is_bool else result
-    if name == "max":
-        result = selected.max().item()
-        return bool(result) if is_bool else result
-    total = selected.sum().item()
-    if name == "sum":
-        return total
-    if name == "avg":
-        return total / count
-    if count < 2:  # stddev
-        return None
-    deviations = selected.astype(np.float64) - (total / count)
-    return math.sqrt(float((deviations * deviations).sum()) / (count - 1))
-
-
 def _grouped_aggregate(
     name: str,
     data: tuple,
@@ -814,7 +763,16 @@ def _grouped_aggregate(
     order).  Invalid (NULL) slots carry the reduction's identity."""
     tag = data[0]
     if tag == "const":
-        return [_const_aggregate(name, data[1], int(size)) for size in sizes]
+        # k copies of one value: the row path's own reduction, which may
+        # raise (a float overflowing in stddev); the row path decides.
+        value = data[1]
+        try:
+            return [
+                _aggregate(name, [] if value is None else [value] * int(size))
+                for size in sizes
+            ]
+        except Exception:
+            raise VectorFallback("aggregate of a constant raises") from None
     is_text = tag == "text"
     is_bool = tag == "bool"
     if is_bool:
@@ -851,30 +809,36 @@ def _grouped_aggregate(
         return results
     # sum / avg / stddev (numeric flavors only; text screened at compile).
     masked = np.where(valid_sorted, values_sorted, 0)
+    # Python sums ints without wrapping and floats in row order: refuse
+    # a group whose total could leave int64, or whose running float sum
+    # could overflow in some order (each is at most max|v| x its count).
+    limit = INT64_MAX if masked.dtype.kind == "i" else sys.float_info.max
+    peak = max(masked.max().item(), -masked.min().item())
+    if peak * int(counts.max()) > limit:
+        raise VectorFallback("total could overflow")
     totals = np.add.reduceat(masked, starts)
     if name == "sum":
         return [
             totals[group_id].item() if counts[group_id] else None
             for group_id in range(group_count)
         ]
+    # Python's division, so an int total is rounded once, as in _aggregate.
+    averages = [
+        totals[group_id].item() / int(counts[group_id]) if counts[group_id] else None
+        for group_id in range(group_count)
+    ]
     if name == "avg":
-        return [
-            totals[group_id].item() / int(counts[group_id])
-            if counts[group_id]
-            else None
-            for group_id in range(group_count)
-        ]
-    # stddev: two-pass, same formula as _compute_aggregate.
-    means = np.divide(
-        totals.astype(np.float64),
-        counts.astype(np.float64),
-        out=np.zeros(group_count),
-        where=counts > 0,
-    )
+        return averages
+    # stddev: two-pass about the row path's own mean, as in _aggregate.
+    means = np.array([0.0 if mean is None else mean for mean in averages])
     deviations = np.where(
         valid_sorted, values_sorted.astype(np.float64) - means[sorted_inv], 0.0
     )
-    squares = np.add.reduceat(deviations * deviations, starts)
+    squared = deviations * deviations
+    if (np.isinf(squared) & np.isfinite(deviations)).any():
+        # Python's float ** 2 raises OverflowError where numpy gives inf.
+        raise VectorFallback("stddev deviation overflows")
+    squares = np.add.reduceat(squared, starts)
     results = []
     for group_id in range(group_count):
         if counts[group_id] < 2:
@@ -927,7 +891,11 @@ def _compute_aggregate(
                 seen.add(folded)
                 unique.append(value)
         values = unique
-    name = node.name
+    return _aggregate(node.name, values)
+
+
+def _aggregate(name: str, values: list[Any]) -> Any:
+    """One aggregate over the non-NULL argument values of one group."""
     if name == "count":
         return len(values)
     if not values:

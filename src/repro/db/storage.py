@@ -173,8 +173,12 @@ class HeapTable:
         return dict(row) if row is not None else None
 
     def scan(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """Full scan in rowid order; yields copies so callers cannot
-        corrupt storage by mutating results."""
+        """Full scan in heap order; yields copies so callers cannot
+        corrupt storage by mutating results.
+
+        Heap order is insertion order, not rowid order: the undo of a
+        DELETE re-inserts its row at the end.  The row path and the
+        columnar projection's order invariant both rely on it."""
         for rowid in list(self._rows):
             row = self._rows.get(rowid)
             if row is not None:

@@ -559,3 +559,239 @@ def test_interrupted_flush_falls_back_to_a_rebuild(monkeypatch):
     assert store.pending() == 0
     assert_store_matches_rebuild(table, "after interrupted flush")
     assert store.rebuilds == 2
+
+
+# -- extreme values and text edge cases ---------------------------------------
+
+
+def _extremes_db():
+    db = Database()
+    db.execute("CREATE TABLE t (id INT, score REAL, v INT)")
+    for i, (score, v) in enumerate(
+        [(1.0, 3), (float("inf"), 2**40), (1e308, 5), (7.0, 2**61)]
+    ):
+        db.execute("INSERT INTO t (id, score, v) VALUES (?, ?, ?)", [i, score, v])
+    db.execute("CREATE TABLE big (grp TEXT, v INT)")
+    for _ in range(4):
+        db.execute("INSERT INTO big (grp, v) VALUES (?, ?)", ["a", 2**62])
+    db.execute("CREATE TABLE w (id INT, v INT, r REAL)")
+    db.execute("INSERT INTO w (id, v, r) VALUES (?, ?, ?)", [1, 2**53 + 1, 2.0**53])
+    return db
+
+
+EXTREME_QUERIES = [
+    # int64 wraparound: Python ints do not wrap.
+    "SELECT count(*) FROM t WHERE v * v > 100",
+    "SELECT sum(v * v) FROM t",
+    "SELECT count(*) FROM t WHERE v * 4 > 0",
+    "SELECT sum(v), avg(v) FROM big",
+    "SELECT grp, sum(v), avg(v) FROM big GROUP BY grp",
+    "SELECT stddev(v) FROM big",
+    # NaN from REAL arithmetic: compare_values calls it equal to numbers.
+    "SELECT count(*) FROM t WHERE score * 0 = 5",
+    "SELECT count(*) FROM t WHERE score * 10 - score * 10 = 1",
+    "SELECT max(score * 0) FROM t",
+    # ints beyond float64's exact range against floats.
+    "SELECT count(*) FROM w WHERE v > r",
+    "SELECT count(*) FROM w WHERE v > 9007199254740992.0",
+    "SELECT count(*) FROM w WHERE v = 9007199254740992.0",
+]
+
+
+def _outcome(db, query, vectorized):
+    previous = executor.set_vectorized(vectorized)
+    try:
+        return ("rows", db.query(query))
+    except Exception as exc:  # the error itself is the result compared
+        return ("error", type(exc), str(exc))
+    finally:
+        executor.set_vectorized(previous)
+
+
+def test_extreme_values_match_row_path():
+    db = _extremes_db()
+    for query in EXTREME_QUERIES:
+        fast, slow, _engaged = run_both(db, query)
+        assert_rows_equal(fast, slow, query)
+
+
+def test_text_edge_cases_match_row_path():
+    db = Database()
+    db.execute("CREATE TABLE s (id INT, grp TEXT, gone TEXT)")
+    words = ["", "a", "b", "", None, "c", "d", None, "a"]
+    for i, word in enumerate(words):
+        db.execute("INSERT INTO s (id, grp, gone) VALUES (?, ?, ?)", [i, word, None])
+    engaged_shapes = [
+        "grp = ''",
+        "grp LIKE ''",
+        "grp LIKE '%'",
+        "grp < 'a'",
+        "grp IN ('', 'c')",
+        "grp NOT IN ('', NULL)",
+        "NOT grp",
+        "grp > 'a' AND grp < 'd'",
+        "grp BETWEEN '' AND 'b'",
+        "grp IS NULL OR id > 4",
+        "gone = 'a'",
+        "gone IS NULL",
+        "gone NOT LIKE 'x%'",
+        "gone + 1 > 0",
+    ]
+    for where in engaged_shapes:
+        for query in (
+            f"SELECT count(*), min(grp), max(id) FROM s WHERE {where}",
+            f"SELECT grp, count(*) FROM s WHERE {where} GROUP BY grp",
+        ):
+            fast, slow, engaged = run_both(db, query)
+            assert engaged, query
+            assert_rows_equal(fast, slow, query)
+    query = "SELECT grp > 'a' AND grp < 'd', count(*) FROM s GROUP BY grp > 'a' AND grp < 'd'"
+    fast, slow, engaged = run_both(db, query)
+    assert engaged
+    assert_rows_equal(fast, slow, query)
+
+
+def test_two_comparisons_on_one_text_column_are_one_lowering(monkeypatch):
+    from repro.db import expr_vector
+    from repro.db.sql.parser import parse_expression
+
+    lowered = []
+    lower = expr_vector._vc_text_predicate
+
+    def counting(node, name, np):
+        lowered.append(name)
+        return lower(node, name, np)
+
+    monkeypatch.setattr(expr_vector, "_vc_text_predicate", counting)
+    expr_vector.compile_vector_predicate(
+        parse_expression("grp > 'a' AND grp < 'd'"), {"grp": "text"}
+    )
+    assert lowered == ["grp"]
+
+
+def test_stranded_words_refuse_without_changing_the_answer():
+    """An update strands 'alpha' in the dictionary; the predicate raises
+    on it, but no row holds it, so the row path answers."""
+    db = Database()
+    db.execute("CREATE TABLE s (id INT, grp TEXT)")
+    for i, word in enumerate(["alpha", "beta", "beta", None]):
+        db.execute("INSERT INTO s (id, grp) VALUES (?, ?)", [i, word])
+    db.query("SELECT count(*) FROM s")  # build the projection
+    db.execute("UPDATE s SET grp = 'beta' WHERE grp = 'alpha'")
+    store = db.catalog.table("s").column_store()
+    assert "alpha" in store.batch().series("grp").dictionary.tolist()
+    before = executor.VECTOR_STATS["fallback_runtime"]
+    query = "SELECT count(*) FROM s WHERE grp = 'beta' OR grp + 1 > 0"
+    fast, slow, engaged = run_both(db, query)
+    assert not engaged
+    assert executor.VECTOR_STATS["fallback_runtime"] > before
+    assert fast == slow == [{"count": 3}]
+
+
+def test_text_predicate_that_raises_raises_the_row_path_error():
+    db = build_db(241, rows=60)
+    for query in [
+        "SELECT count(*) FROM events WHERE grp + 1 > 0",
+        "SELECT grp, count(*) FROM events WHERE val > 0 AND grp + 1 > 0 GROUP BY grp",
+        "SELECT sum(val) FROM events WHERE note LIKE 'z%' OR note - 2 = 4",
+    ]:
+        slow = _outcome(db, query, vectorized=False)
+        assert slow[0] == "error", query
+        assert _outcome(db, query, vectorized=True) == slow, query
+
+
+def _same_outcome(fast, slow):
+    if fast[0] != slow[0] or fast[0] == "error":
+        return fast == slow
+    if len(fast[1]) != len(slow[1]):
+        return False
+    for fast_row, slow_row in zip(fast[1], slow[1]):
+        for column, value in fast_row.items():
+            other = slow_row[column]
+            both_nan = isinstance(value, float) and isinstance(other, float) and (
+                math.isnan(value) and math.isnan(other)
+            )
+            if not (both_nan or _close(value, other)):
+                return False
+    return True
+
+
+_EXTREME_INTS = [0, 1, -5, 7, 2**40, 2**53, 2**53 + 1, -(2**53) - 3, 2**61,
+                 2**62, -(2**62), 2**63 - 1, -(2**63), None]
+_EXTREME_REALS = [0.0, -0.0, 1.5, -2.5, 3.0, 1e308, float("inf"), float("-inf"),
+                  2.0**53, None]
+_NUMBER_LEAVES = ["v", "w", "r", "f", "1", "0", "3.5", "9007199254740993",
+                  "4611686018427387904", "(1e308 * 10)", "'x'", "NULL", "TRUE"]
+
+
+def _random_number(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice(_NUMBER_LEAVES)
+    if roll < 0.6:
+        op = rng.choice(["+", "-", "*"])
+        return f"({_random_number(rng, depth - 1)} {op} {_random_number(rng, depth - 1)})"
+    if roll < 0.8:
+        op, divisor = rng.choice(["/", "%"]), rng.choice(["2", "3", "0.5", "-7"])
+        return f"({_random_number(rng, depth - 1)} {op} {divisor})"
+    return f"(-{_random_number(rng, depth - 1)})"
+
+
+def _random_predicate(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        return f"{_random_number(rng, 1)} {op} {_random_number(rng, 1)}"
+    if roll < 0.55:
+        op = rng.choice(["AND", "OR"])
+        return f"({_random_predicate(rng, depth - 1)} {op} {_random_predicate(rng, depth - 1)})"
+    if roll < 0.6:
+        return f"NOT {_random_predicate(rng, depth - 1)}"
+    if roll < 0.65:
+        return f"{_random_number(rng, 1)} IN ({_random_number(rng, 0)}, {_random_number(rng, 0)})"
+    if roll < 0.7:
+        return f"{_random_number(rng, 1)} BETWEEN -1e308 AND 9007199254740993"
+    if roll < 0.75:
+        return f"{_random_number(rng, 1)} IS NULL"
+    text = rng.choice(["s", "u"])
+    return rng.choice([
+        f"{text} >= 'a'", f"{text} = ''", f"{text} < 5", f"{text} LIKE 'a%'",
+        f"{text} IN ('a', '', NULL)", f"NOT {text}", f"{text} + 1 > 0",
+        f"({text} = 'a' OR {text} * 2 = 'aa')", f"{text} > v",
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_extreme_expressions_match_row_path(seed):
+    """Random WHERE / aggregate / GROUP BY shapes over int64 and float
+    extremes, infinities, NULLs and text: the vector path must answer —
+    or raise — exactly what the row path does, or refuse."""
+    rng = random.Random(seed)
+    for _table in range(40):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT, v INT, w INT, r REAL, f BOOL, s TEXT, u TEXT)")
+        for i in range(rng.randint(0, 12)):
+            db.execute(
+                "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [i, rng.choice(_EXTREME_INTS), rng.choice(_EXTREME_INTS),
+                 rng.choice(_EXTREME_REALS), rng.choice([True, False, None]),
+                 rng.choice(["", "a", "b", "alpha", "10", None]),
+                 rng.choice(["", "a", None])],
+            )
+        for _query in range(10):
+            argument = _random_number(rng, 1)
+            aggregate = rng.choice([
+                "count(*)", f"count({argument})", f"sum({argument})",
+                f"avg({argument})", f"min({argument})", f"max({argument})",
+                f"stddev({argument})", "min(s)", f"sum({_random_predicate(rng, 0)})",
+            ])
+            query = f"SELECT {aggregate} FROM t WHERE {_random_predicate(rng, 2)}"
+            if rng.random() < 0.3:
+                key = rng.choice(["s", "v", "f", "r", "v % 3", "s = 'a'"])
+                query = (
+                    f"SELECT {key}, {aggregate} FROM t"
+                    f" WHERE {_random_predicate(rng, 2)} GROUP BY {key}"
+                )
+            fast = _outcome(db, query, vectorized=True)
+            slow = _outcome(db, query, vectorized=False)
+            assert _same_outcome(fast, slow), f"{query}\n{fast}\n{slow}"
