@@ -192,7 +192,8 @@ class Connection:
         entry = self.db.statement_cache.lookup(
             sql, self.db.schema_version, normalized=_normalized
         )
-        statement = entry.bind(params)
+        values = entry.parameters(params)
+        statement = entry.statement
         if isinstance(statement, BeginStatement):
             self.begin()
             return Result()
@@ -213,7 +214,7 @@ class Connection:
         if implicit:
             self.begin()
         try:
-            result = sql_executor.execute(self.db, self, statement)
+            result = sql_executor.execute(self.db, self, statement, values)
         except BaseException:
             if implicit:
                 self.rollback()
@@ -393,7 +394,8 @@ class Database:
         return PreparedStatement(self, sql)
 
     def _bump_schema_version(self) -> None:
-        """Invalidate cached plans after any DDL.
+        """Invalidate cached plans after any DDL, and after the undo of
+        one (a rolled-back CREATE INDEX must not leave a plan using it).
 
         Extra bumps are always safe — they cause cache misses, never
         stale hits — so every DDL path calls this unconditionally, even
@@ -528,9 +530,12 @@ class Database:
                 table=schema.name,
                 meta={"schema": schema_to_dict(schema)},
             )
-            transaction.record_undo(
-                lambda: self.catalog.drop_table(schema.name)
-            )
+
+            def undo() -> None:
+                self.catalog.drop_table(schema.name)
+                self._bump_schema_version()
+
+            transaction.record_undo(undo)
             return table
 
         return self.run_in_transaction(conn, work)
@@ -577,6 +582,7 @@ class Database:
             def undo() -> None:
                 restored = self.catalog.create_table(table.schema)
                 restored.restore(table.snapshot())
+                self._bump_schema_version()
 
             transaction.record_undo(undo)
 
@@ -608,7 +614,12 @@ class Database:
                     "kind": kind,
                 },
             )
-            transaction.record_undo(lambda: table.drop_index(name))
+
+            def undo() -> None:
+                table.drop_index(name)
+                self._bump_schema_version()
+
+            transaction.record_undo(undo)
 
         self.run_in_transaction(conn, work)
 

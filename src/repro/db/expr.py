@@ -23,9 +23,11 @@ the rule-engine predicate index (EXP-4) is built on.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator as _operator
 import re
+import threading
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.db.types import compare_values
@@ -139,12 +141,14 @@ class ColumnRef(Expression):
 
 
 class Parameter(Expression):
-    """A ``?`` placeholder, bound to a literal at execution time.
+    """A ``?`` placeholder: the ``index``-th value of the running execution.
 
-    Parameters exist only inside cached statement templates; binding
-    (:func:`substitute_parameters`) rewrites them into :class:`Literal`
-    nodes so the planner still sees constants for index selection.
-    Evaluating an unbound parameter is an error.
+    Parameters exist only inside cached statement templates.  The tree is
+    never rebound: a ``?`` lowers to a read of the parameter tuple the
+    executor installs for the statement it is running on this thread
+    (:func:`install_parameters`), so a template compiles once and every
+    execution reads its own values.  Evaluating a parameter with no value
+    installed is an error.
     """
 
     __slots__ = ("index",)
@@ -367,6 +371,9 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
         else:
             parts.append(re.escape(char))
     return re.compile("".join(parts), re.DOTALL)
+
+
+_cached_like_regex = functools.lru_cache(maxsize=64)(_like_to_regex)
 
 
 class Case(Expression):
@@ -631,7 +638,7 @@ def conjuncts(expression: Expression) -> list[Expression]:
 
 
 # --------------------------------------------------------------------------
-# Tree rewriting and parameter binding
+# Tree rewriting and parameter values
 # --------------------------------------------------------------------------
 
 
@@ -660,12 +667,40 @@ def rewrite(
     return expression.with_children(children) if changed else expression
 
 
+class _ParameterValues(threading.local):
+    """The ``?`` values of the statement each thread is executing."""
+
+    values: tuple[Any, ...] = ()
+
+
+_PARAMETERS = _ParameterValues()
+
+
+def install_parameters(values: tuple[Any, ...]) -> tuple[Any, ...]:
+    """Make ``values`` what this thread's ``?`` reads return; returns the
+    values they replace.
+
+    The executor installs a statement's values for exactly the span of
+    its execution and reinstalls the returned ones when it leaves, even
+    on error.  A statement that runs inside another one (a trigger, a
+    subquery, a commit listener) therefore reads its own values, and the
+    outer statement finds its own again when the inner one returns.
+    """
+    previous = _PARAMETERS.values
+    _PARAMETERS.values = values
+    return previous
+
+
+def current_parameters() -> tuple[Any, ...]:
+    """The ``?`` values of the statement executing on this thread."""
+    return _PARAMETERS.values
+
+
 def contains_parameters(expression: Expression) -> bool:
     """Whether any :class:`Parameter` appears in this tree (memoized).
 
     Walks via :meth:`Expression.children`, so parameters inside
-    ``IN (SELECT ...)`` / ``EXISTS`` subqueries are *not* seen here —
-    the statement cache rejects those at bind time.
+    ``IN (SELECT ...)`` / ``EXISTS`` subqueries are *not* seen here.
     """
     flag = expression.__dict__.get("_params_memo")
     if flag is None:
@@ -680,7 +715,13 @@ def contains_parameters(expression: Expression) -> bool:
 def substitute_parameters(
     expression: Expression, params: tuple[Any, ...]
 ) -> Expression:
-    """Rewrite ``?`` placeholders into literals, sharing param-free subtrees."""
+    """Rewrite ``?`` placeholders into literals, sharing param-free subtrees.
+
+    Only the columnar path uses it: its kernels specialize to constant
+    values (see :mod:`repro.db.expr_vector`), so it compiles the tree with
+    one execution's values substituted.  Everything else reads ``?`` at
+    run time.
+    """
     if not contains_parameters(expression):
         return expression
 
@@ -820,7 +861,18 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
         return bare_fn, False
 
     if isinstance(node, Parameter):
-        return raises_at_evaluation(f"unbound parameter ?{node.index + 1}"), False
+
+        def parameter_fn(
+            row: Mapping[str, Any],
+            _index: int = node.index,
+            _bound: _ParameterValues = _PARAMETERS,
+        ) -> Any:
+            try:
+                return _bound.values[_index]
+            except IndexError:
+                raise ExpressionError(f"unbound parameter ?{_index + 1}") from None
+
+        return parameter_fn, False
 
     if isinstance(node, BinaryOp):
         return _compile_binary(node)
@@ -1007,6 +1059,26 @@ def _compile_node(node: Expression) -> tuple[_CompiledFn, bool]:
 
             if operand_const:
                 return _fold_constant(like_fn)
+        elif isinstance(node.pattern, Parameter):
+            # One pattern per execution, not per row: reuse its regex.
+            pattern_fn, _ = _compile_child(node.pattern)
+
+            def like_fn(
+                row: Mapping[str, Any],
+                _operand: _CompiledFn = operand_fn,
+                _pattern: _CompiledFn = pattern_fn,
+                _regex: Callable[[str], re.Pattern[str]] = _cached_like_regex,
+                _neg: bool = negated,
+            ) -> Any:
+                value = _operand(row)
+                if value is None:
+                    return None
+                pattern_value = _pattern(row)
+                if pattern_value is None:
+                    return None
+                matched = _regex(str(pattern_value)).fullmatch(str(value)) is not None
+                return not matched if _neg else matched
+
         else:
             pattern_fn, _ = _compile_child(node.pattern)
 

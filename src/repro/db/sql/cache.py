@@ -1,4 +1,4 @@
-"""Shared statement cache with ``?``-parameter binding.
+"""Shared statement cache: a statement is parsed once, planned once per schema version.
 
 EXP-3 measured that 60–68 % of the client SQL path is lexing+parsing.
 This module removes that cost for repeated statements, the way a
@@ -8,25 +8,26 @@ resulting AST template is cached in a bounded LRU keyed by
 ``(normalized text, schema version)``.  DDL bumps the schema version, so
 plans built against an old catalog can never be served again.
 
-Templates may contain :class:`~repro.db.expr.Parameter` placeholders.
-Binding builds new nodes only along the paths that lead to a ``?``
-(:func:`~repro.db.expr.rewrite`); every param-free expression — a
-projection list, GROUP BY / ORDER BY keys, a WHERE without ``?`` — is
-the template's own node in the bound statement.  So the planner still
-sees constants for index selection, and the closures memoized on those
-nodes are compiled once per cached template, not once per execution.
-
-Parameters are accepted in DML expression positions only; they are not
-supported inside ``IN (SELECT ...)`` / ``EXISTS`` subqueries or DDL.
+Templates may contain :class:`~repro.db.expr.Parameter` placeholders,
+and they are never rebound.  An execution validates its values
+(:meth:`CachedStatement.parameters`) and the executor installs them for
+this thread for the span of the statement; a ``?`` compiles to a read of
+them.  So every part of a template — WHERE, projection, UPDATE
+assignments, INSERT values — is compiled once, and the executor plans
+it once per schema version, the planner recording an index key or range
+bound that is a ``?`` as a slot it reads at execution.  ``?`` binds
+anywhere in a SELECT, INSERT, UPDATE, DELETE or EXPLAIN, subqueries
+included (they run inside the statement, with its values); DDL and
+transaction control take none.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Sequence
+from collections.abc import Sequence
+from typing import Any
 
-from repro.db.expr import Expression, substitute_parameters
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.errors import DatabaseError
@@ -91,6 +92,9 @@ def normalize_sql(text: str) -> str:
     return normalized
 
 
+_PARAMETERIZABLE = (ast.Select, ast.Insert, ast.Update, ast.Delete, ast.Explain)
+
+
 class CachedStatement:
     """A parsed statement template plus its ``?`` arity."""
 
@@ -100,110 +104,38 @@ class CachedStatement:
         self.statement = statement
         self.parameter_count = getattr(statement, "parameter_count", 0)
 
-    def bind(self, params: Sequence[Any] | None) -> ast.Statement:
-        """Return an executable statement with parameters substituted.
+    def parameters(self, params: Sequence[Any] | None) -> tuple[Any, ...]:
+        """Validate one execution's ``?`` values and return them as the
+        tuple the executor installs.
 
-        With zero parameters the shared template itself is returned —
-        execution never mutates statements, so this is safe and keeps
-        the fast path allocation-free.
+        ``params`` is a list, a tuple or another sequence that is not a
+        string, bytes or mapping, of exactly the statement's arity (or
+        None for none).
         """
-        values = tuple(params) if params is not None else ()
+        if type(params) is tuple:
+            values = params
+        elif params is None:
+            values = ()
+        elif isinstance(params, Sequence) and not isinstance(
+            params, (str, bytes, bytearray)
+        ):
+            values = tuple(params)
+        else:
+            raise DatabaseError(
+                f"statement expects {self.parameter_count} parameter(s) as a "
+                f"list or tuple, got {type(params).__name__}"
+            )
         if len(values) != self.parameter_count:
             raise DatabaseError(
                 f"statement expects {self.parameter_count} parameter(s), "
                 f"got {len(values)}"
             )
-        if self.parameter_count == 0:
-            return self.statement
-        return _bind_statement(self.statement, values)
-
-
-def _bind_expr(
-    expression: Expression | None, params: tuple[Any, ...]
-) -> Expression | None:
-    if expression is None:
-        return None
-    return substitute_parameters(expression, params)
-
-
-def _bind_select(select: ast.Select, params: tuple[Any, ...]) -> ast.Select:
-    return ast.Select(
-        items=[
-            ast.SelectItem(
-                expression=_bind_expr(item.expression, params),
-                alias=item.alias,
-                is_star=item.is_star,
+        if values and not isinstance(self.statement, _PARAMETERIZABLE):
+            raise DatabaseError(
+                "parameters are only supported in "
+                "SELECT/INSERT/UPDATE/DELETE statements"
             )
-            for item in select.items
-        ],
-        table=select.table,
-        alias=select.alias,
-        joins=[
-            ast.JoinClause(
-                table=join.table,
-                alias=join.alias,
-                on=_bind_expr(join.on, params),
-                kind=join.kind,
-            )
-            for join in select.joins
-        ],
-        where=_bind_expr(select.where, params),
-        group_by=[_bind_expr(expr, params) for expr in select.group_by],
-        having=_bind_expr(select.having, params),
-        order_by=[
-            ast.OrderItem(
-                expression=_bind_expr(item.expression, params),
-                descending=item.descending,
-            )
-            for item in select.order_by
-        ],
-        limit=select.limit,
-        offset=select.offset,
-        distinct=select.distinct,
-    )
-
-
-def _bind_statement(
-    statement: ast.Statement, params: tuple[Any, ...]
-) -> ast.Statement:
-    if isinstance(statement, ast.Insert):
-        bound = ast.Insert(
-            table=statement.table,
-            columns=statement.columns,
-            rows=[
-                [_bind_expr(expr, params) for expr in row]
-                for row in statement.rows
-            ],
-            select=(
-                _bind_select(statement.select, params)
-                if statement.select is not None
-                else None
-            ),
-        )
-    elif isinstance(statement, ast.Update):
-        bound = ast.Update(
-            table=statement.table,
-            assignments=[
-                (column, _bind_expr(expr, params))
-                for column, expr in statement.assignments
-            ],
-            where=_bind_expr(statement.where, params),
-        )
-    elif isinstance(statement, ast.Delete):
-        bound = ast.Delete(
-            table=statement.table, where=_bind_expr(statement.where, params)
-        )
-    elif isinstance(statement, ast.Select):
-        bound = _bind_select(statement, params)
-    elif isinstance(statement, ast.Explain):
-        bound = ast.Explain(_bind_statement(statement.statement, params))
-    else:
-        raise DatabaseError(
-            "parameters are only supported in "
-            "SELECT/INSERT/UPDATE/DELETE statements"
-        )
-    bound.parameter_count = 0
-    return bound
+        return values
 
 
 class StatementCache:
@@ -295,9 +227,9 @@ class PreparedStatement:
     """A client-side handle for repeated execution of one statement.
 
     Normalization happens once at prepare time; each execution is a pure
-    cache probe plus parameter binding.  The handle survives DDL: a
-    schema bump just makes the next execution re-parse under the new
-    version.
+    cache probe plus the template's plan run with the new values.  The
+    handle survives DDL: a schema bump just makes the next execution
+    re-parse and re-plan under the new version.
     """
 
     __slots__ = ("_database", "sql", "_normalized", "parameter_count")

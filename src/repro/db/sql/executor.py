@@ -1,10 +1,17 @@
 """Statement execution against a :class:`repro.db.database.Database`.
 
-The executor is stateless: it receives the database facade and the
-current connection, plans row access, and routes every mutation through
-the database's core ``insert_row``/``update_row``/``delete_row``
-methods so SQL and the programmatic API share one code path (locks,
-WAL, triggers, undo).
+The executor receives the database facade, the current connection, a
+statement template and the execution's ``?`` values.  It routes every
+mutation through the database's core ``insert_row``/``update_row``/
+``delete_row`` methods so SQL and the programmatic API share one code
+path (locks, WAL, triggers, undo).
+
+A template is never rebound: its ``?`` values are installed for the span
+of the execution (:func:`repro.db.expr.install_parameters`) and read by
+the compiled closures, so what a template needs at every execution is
+derived once and memoized on its nodes — the compiled projection, the
+aggregates, whether rows need alias-qualified keys, and (per schema
+version) the planner's access plan.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from repro.db.expr import (
     Literal,
     compile_expression,
     compile_predicate,
+    current_parameters,
+    install_parameters,
     rewrite,
+    substitute_parameters,
 )
 from repro.db.expr_vector import (
     INT64_MAX,
@@ -54,7 +64,8 @@ from repro.db.sql.ast import (
     Statement,
     Update,
 )
-from repro.db.sql.planner import plan_access
+from repro.db.sql.planner import AccessPath, plan_access
+from repro.db.triggers import TriggerEvent, TriggerTiming
 from repro.db.types import equality_key
 from repro.errors import DatabaseError, ExpressionError, SqlSyntaxError
 
@@ -90,9 +101,23 @@ class Result:
         return [row[name] for row in self.rows]
 
 
-def execute(db: "Database", conn: "Connection", statement: Statement) -> Result:
-    """Execute a parsed statement; transaction control is handled by the
-    connection before this is reached."""
+def execute(
+    db: "Database",
+    conn: "Connection",
+    statement: Statement,
+    params: tuple[Any, ...] = (),
+) -> Result:
+    """Execute a parsed statement with ``params`` as its ``?`` values;
+    transaction control is handled by the connection before this is
+    reached."""
+    outer = install_parameters(params)
+    try:
+        return _execute(db, conn, statement)
+    finally:
+        install_parameters(outer)
+
+
+def _execute(db: "Database", conn: "Connection", statement: Statement) -> Result:
     if isinstance(statement, Explain):
         return _execute_explain(db, conn, statement)
     if isinstance(statement, Select):
@@ -144,8 +169,7 @@ def _execute_explain(db: "Database", conn: "Connection", stmt: Explain) -> Resul
     inner = stmt.statement
     if isinstance(inner, (Update, Delete)):
         table = db.catalog.table(inner.table)
-        where = _resolve_subqueries(db, conn, inner.where)
-        steps.append(plan_access(table, where).explain())
+        steps.append(_access_path(db, inner, table, inner.where).explain())
         steps.append(
             "UPDATE rows" if isinstance(inner, Update) else "DELETE rows"
         )
@@ -153,7 +177,6 @@ def _execute_explain(db: "Database", conn: "Connection", stmt: Explain) -> Resul
         if inner.table is None:
             steps.append("CONSTANT (no table)")
         else:
-            where = _resolve_subqueries(db, conn, inner.where)
             if inner.joins:
                 steps.append(f"SCAN {inner.table}")
                 for join in inner.joins:
@@ -163,12 +186,12 @@ def _execute_explain(db: "Database", conn: "Connection", stmt: Explain) -> Resul
                         else "NESTED LOOP"
                     )
                     steps.append(f"{strategy} {join.kind.upper()} {join.table}")
-                if where is not None:
+                if inner.where is not None:
                     steps.append("FILTER residual WHERE")
             else:
                 table = db.catalog.table(inner.table)
-                steps.append(plan_access(table, where).explain())
-        if inner.group_by or _collect_aggregates(inner):
+                steps.append(_access_path(db, inner, table, inner.where).explain())
+        if inner.group_by or _select_shape(inner).aggregates:
             steps.append("AGGREGATE")
         if inner.distinct:
             steps.append("DISTINCT")
@@ -189,8 +212,6 @@ def _execute_explain(db: "Database", conn: "Connection", stmt: Explain) -> Resul
 
 
 def _execute_insert(db: "Database", conn: "Connection", stmt: Insert) -> Result:
-    from repro.db.triggers import TriggerEvent, TriggerTiming
-
     table = db.catalog.table(stmt.table)
     schema = table.schema
     txid = conn.require_transaction().txid
@@ -250,8 +271,6 @@ def _execute_insert(db: "Database", conn: "Connection", stmt: Insert) -> Result:
 
 
 def _execute_update(db: "Database", conn: "Connection", stmt: Update) -> Result:
-    from repro.db.triggers import TriggerEvent, TriggerTiming
-
     db.lock_table_exclusive(conn, stmt.table)
     table = db.catalog.table(stmt.table)
     txid = conn.require_transaction().txid
@@ -259,16 +278,11 @@ def _execute_update(db: "Database", conn: "Connection", stmt: Update) -> Result:
         table.name, TriggerEvent.UPDATE, TriggerTiming.BEFORE, txid, 0, connection=conn
     )
     where = _resolve_subqueries(db, conn, stmt.where)
-    assignments = [
-        (column, _resolve_subqueries(db, conn, expression))
-        for column, expression in stmt.assignments
-    ]
-    stmt = Update(stmt.table, assignments, where)
-    path = plan_access(table, stmt.where)
     compiled_assignments = [
-        (column, compile_expression(expression))
+        (column, compile_expression(_resolve_subqueries(db, conn, expression)))
         for column, expression in stmt.assignments
     ]
+    path = _access_path(db, stmt, table, where)
     count = db.update_rows(
         stmt.table,
         [
@@ -290,15 +304,13 @@ def _execute_update(db: "Database", conn: "Connection", stmt: Update) -> Result:
 
 
 def _execute_delete(db: "Database", conn: "Connection", stmt: Delete) -> Result:
-    from repro.db.triggers import TriggerEvent, TriggerTiming
-
     db.lock_table_exclusive(conn, stmt.table)
     table = db.catalog.table(stmt.table)
     txid = conn.require_transaction().txid
     db.fire_statement_triggers(
         table.name, TriggerEvent.DELETE, TriggerTiming.BEFORE, txid, 0, connection=conn
     )
-    path = plan_access(table, _resolve_subqueries(db, conn, stmt.where))
+    path = _access_path(db, stmt, table, _resolve_subqueries(db, conn, stmt.where))
     count = db.delete_rows(
         stmt.table, [rowid for rowid, _row in path.rows()], conn=conn
     )
@@ -309,12 +321,75 @@ def _execute_delete(db: "Database", conn: "Connection", stmt: Delete) -> Result:
 
 
 # --------------------------------------------------------------------------
+# What a template derives once
+# --------------------------------------------------------------------------
+
+
+def _access_path(
+    db: "Database", stmt: Select | Update | Delete, table: Any, where: Expression | None
+) -> AccessPath:
+    """This execution's access path: the template's plan, made once per
+    schema version, resolved for the installed ``?`` values and
+    filtering by ``where`` (the template's WHERE, or its copy with
+    subquery results)."""
+    memo = stmt.__dict__.get("_access_memo")
+    if memo is None or memo[0] != db.schema_version:
+        memo = (db.schema_version, plan_access(table, stmt.where))
+        stmt._access_memo = memo
+    return memo[1].resolve(where)
+
+
+def _reads_qualified(expression: Expression | None) -> bool:
+    if expression is None:
+        return False
+    if isinstance(expression, ColumnRef) and expression.qualifier:
+        return True
+    return any(_reads_qualified(child) for child in expression.children())
+
+
+class _SelectShape:
+    """A SELECT template's execution-invariant parts.
+
+    ``columns`` are the output columns when no ``*`` makes them depend
+    on the rows.  ``alias`` is the name single-table rows are qualified
+    under, or None when no expression of the statement reads a qualified
+    column: only a qualified :class:`ColumnRef` ever reads a qualified
+    key, and ``*`` skips them, so such a statement reads the stored rows
+    as they are.
+    """
+
+    __slots__ = ("items", "columns", "aggregates", "alias")
+
+    def __init__(self, stmt: Select) -> None:
+        self.items = _compile_items(stmt.items)
+        self.columns = (
+            None
+            if any(item.is_star for item in stmt.items)
+            else _output_columns(self.items, [])
+        )
+        self.aggregates = _collect_aggregates(stmt)
+        expressions = [item.expression for item in stmt.items if not item.is_star]
+        expressions += [stmt.where, stmt.having, *stmt.group_by]
+        expressions += [order.expression for order in stmt.order_by]
+        qualified = any(_reads_qualified(expression) for expression in expressions)
+        self.alias = (stmt.alias or stmt.table) if qualified else None
+
+
+def _select_shape(stmt: Select) -> _SelectShape:
+    shape = stmt.__dict__.get("_shape_memo")
+    if shape is None:
+        shape = stmt._shape_memo = _SelectShape(stmt)
+    return shape
+
+
+# --------------------------------------------------------------------------
 # SELECT
 # --------------------------------------------------------------------------
 
 
 def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
-    items = _compile_items(stmt.items)
+    shape = _select_shape(stmt)
+    items = shape.items
     if stmt.table is None:
         # Table-less SELECT: evaluate expressions against an empty row.
         row = _project(items, {}, {})
@@ -325,43 +400,52 @@ def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
         db.lock_table_shared(conn, join.table)
 
     where = _resolve_subqueries(db, conn, stmt.where)
-    aggregate_nodes = _collect_aggregates(stmt)
+    aggregate_nodes = shape.aggregates
     source_rows: list[dict[str, Any]] = []
     output_pairs: list[tuple[dict[str, Any], dict[str, Any]]] | None = None
 
     if not stmt.joins:
         table = db.catalog.table(stmt.table)
-        base_alias = stmt.alias or stmt.table
         if stmt.group_by or aggregate_nodes:
             # Aggregate over one table: try scan→mask→reduce over the
             # columnar projection.  Returns None (ineligible shape, or
             # a kernel raised VectorFallback) -> row path below.
             output_pairs = _try_vectorized(
-                table, base_alias, stmt, where, aggregate_nodes
+                table, shape.alias, stmt, where, aggregate_nodes
             )
         if output_pairs is None:
-            # Single-table SELECT: let the planner pick an index path.
-            # The path re-applies the full WHERE as a residual filter,
-            # so no second filtering pass is needed.  Qualified
-            # references in the WHERE (``o.price``) still resolve:
-            # ColumnRef falls back to the bare column name.
-            path = plan_access(table, where)
-            source_rows = [
-                _qualify(row, base_alias) for _rowid, row in path.rows()
-            ]
+            # Single-table SELECT: the template's access plan, resolved
+            # for this execution's values.  The path re-applies the full
+            # WHERE as a residual filter, so no second filtering pass is
+            # needed.  Rows gain alias-qualified keys only when the
+            # statement reads one (see _SelectShape).
+            path = _access_path(db, stmt, table, where)
+            if shape.alias is None:
+                source_rows = [row for _rowid, row in path.rows()]
+            else:
+                source_rows = [
+                    _qualify(row, shape.alias) for _rowid, row in path.rows()
+                ]
     else:
         source_rows = list(_scan_from_clause(db, stmt))
         if where is not None:
             where_predicate = compile_predicate(where)
             source_rows = [row for row in source_rows if where_predicate(row)]
 
+    columns = (
+        _output_columns(items, source_rows)
+        if shape.columns is None
+        else list(shape.columns)
+    )
     if output_pairs is None:
         if stmt.group_by or aggregate_nodes:
             output_pairs = _execute_grouped(stmt, source_rows, aggregate_nodes)
+        elif not (stmt.distinct or stmt.order_by):
+            # Nothing below needs the source row beside the projection.
+            rows = [_project(items, row, row) for row in source_rows]
+            return _limited(stmt, columns, rows)
         else:
             output_pairs = [(_project(items, row, row), row) for row in source_rows]
-
-    columns = _output_columns(items, source_rows)
 
     if stmt.distinct:
         seen: set[tuple[Any, ...]] = set()
@@ -394,7 +478,10 @@ def _execute_select(db: "Database", conn: "Connection", stmt: Select) -> Result:
 
         output_pairs.sort(key=order_key)
 
-    rows = [projected for projected, _base in output_pairs]
+    return _limited(stmt, columns, [projected for projected, _base in output_pairs])
+
+
+def _limited(stmt: Select, columns: list[str], rows: list[dict[str, Any]]) -> Result:
     if stmt.offset:
         rows = rows[stmt.offset :]
     if stmt.limit is not None:
@@ -556,7 +643,7 @@ def set_vectorized(enabled: bool) -> bool:
 
 def _try_vectorized(
     table: Any,
-    base_alias: str,
+    base_alias: str | None,
     stmt: Select,
     where: Expression | None,
     aggregate_nodes: list[AggregateCall],
@@ -573,13 +660,20 @@ def _try_vectorized(
         VECTOR_STATS["fallback_compile"] += 1
         return None
 
+    # The kernels specialize to constant values (a refusal may hang on
+    # one), so ``?`` values are compiled in: the substituted trees are
+    # this execution's own, and their parameter-free subtrees are the
+    # template's.
+    params = current_parameters()
     kinds = columnar.vector_kinds(table.schema)
     try:
         where_fn = (
-            compile_vector_predicate(where, kinds) if where is not None else None
+            compile_vector_predicate(substitute_parameters(where, params), kinds)
+            if where is not None
+            else None
         )
         key_extractors = [
-            compile_vector_extractor(expression, kinds)
+            compile_vector_extractor(substitute_parameters(expression, params), kinds)
             for expression in stmt.group_by
         ]
         agg_specs: dict[str, tuple[str, str, Any]] = {}
@@ -590,7 +684,9 @@ def _try_vectorized(
             if node.argument is None:  # COUNT(*)
                 agg_specs[key] = (node.name, "star", None)
                 continue
-            flavor, payload = compile_vector_extractor(node.argument, kinds)
+            flavor, payload = compile_vector_extractor(
+                substitute_parameters(node.argument, params), kinds
+            )
             if node.name in ("sum", "avg", "stddev"):
                 # The row path raises on textual values here (sum of
                 # str); fall back so it raises identically.
@@ -621,7 +717,7 @@ def _try_vectorized(
 
 def _run_vectorized(
     table: Any,
-    base_alias: str,
+    base_alias: str | None,
     stmt: Select,
     where_fn: Any,
     key_extractors: list[tuple[str, Any]],
@@ -739,13 +835,13 @@ def _run_vectorized(
 
 
 def _vector_representative(
-    table: Any, base_alias: str, batch: Any, idx: Any, position: int
+    table: Any, base_alias: str | None, batch: Any, idx: Any, position: int
 ) -> dict[str, Any]:
     rowid = int(batch.rowids[idx[position]])
     raw = table.get(rowid)
     if raw is None:
         raise VectorFallback("row vanished under vectorized execution")
-    return _qualify(raw, base_alias)
+    return raw if base_alias is None else _qualify(raw, base_alias)
 
 
 def _grouped_aggregate(
@@ -926,10 +1022,11 @@ def _resolve_subqueries(
     Each subquery runs exactly once per statement.  Correlated
     subqueries (referencing outer columns) fail inside the subquery's
     own evaluation with an unknown-column error — documented as
-    unsupported.
+    unsupported.  A tree without subqueries (known once per node) is
+    returned as is, unwalked.
     """
-    if expression is None:
-        return None
+    if expression is None or not _holds_subquery(expression):
+        return expression
 
     def visit(node: Expression) -> Expression | None:
         if isinstance(node, InSelect):
@@ -951,6 +1048,18 @@ def _resolve_subqueries(
         return None
 
     return rewrite(expression, visit)
+
+
+def _holds_subquery(expression: Expression) -> bool:
+    """Whether ``expression`` holds an ``IN (SELECT ...)`` or ``EXISTS``
+    (memoized per node)."""
+    flag = expression.__dict__.get("_subquery_memo")
+    if flag is None:
+        flag = isinstance(expression, (InSelect, ExistsSelect)) or any(
+            _holds_subquery(child) for child in expression.children()
+        )
+        expression._subquery_memo = flag
+    return flag
 
 
 def _execute_grouped(

@@ -103,3 +103,33 @@ class TestExplain:
         rng = plan_access(table, parse_expression("price BETWEEN 1 AND 2"))
         assert "INDEX RANGE" in rng.explain()
         assert "[1, 2]" in rng.explain()
+
+
+class TestValuesThePlannerReads:
+    def test_negative_literal_plans_like_its_parameter(self, table):
+        path = plan_access(table, parse_expression("price >= -5 AND price < -1.5"))
+        assert path.kind == "index_range"
+        assert (path.low, path.high) == (-5, -1.5)
+
+    def test_mixed_type_bounds_merge_without_raising(self, table):
+        where = parse_expression("price > 5 AND price > 'abc'")
+        path = plan_access(table, where)
+        assert path.kind == "index_range" and path.low == "abc"
+        assert rows_of(path) == []
+
+    def test_exclusive_bounds_past_2_to_the_53_keep_their_rows(self, orders_db):
+        orders_db.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
+        orders_db.execute("CREATE INDEX ix_big_v ON big (v)")
+        for rowid, value in enumerate([2**53, 2**53 + 1, 2**53 + 2]):
+            orders_db.execute("INSERT INTO big (id, v) VALUES (?, ?)", [rowid, value])
+        # The index orders the three by one float key; the residual WHERE
+        # must still see every row the interval holds.
+        assert orders_db.query(f"SELECT id FROM big WHERE v > {2**53}") == [
+            {"id": 1}, {"id": 2},
+        ]
+        assert orders_db.query(f"SELECT id FROM big WHERE v < {2**53 + 2}") == [
+            {"id": 0}, {"id": 1},
+        ]
+        assert orders_db.query(
+            f"SELECT id FROM big WHERE v > {2**53} AND v < {2**53 + 2}"
+        ) == [{"id": 1}]

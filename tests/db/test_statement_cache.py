@@ -131,6 +131,21 @@ class TestParameterBinding:
         with pytest.raises(DatabaseError, match="expects 0 parameter"):
             db.query("SELECT * FROM t", [1])
 
+    def test_parameter_containers_are_validated(self, db):
+        _make_table(db)
+        insert = db.prepare("INSERT INTO t (id, name) VALUES (?, ?)")
+        # A string, an int, a dict or bytes is not a parameter list:
+        # each used to insert its characters, raise a raw TypeError, or
+        # bind a dict's keys.
+        for bad in ("xy", 12, {"id": 1, "name": "a"}, b"xy"):
+            with pytest.raises(DatabaseError, match="expects 2 parameter"):
+                insert.execute(bad)
+        assert db.query("SELECT * FROM t") == []
+        insert.execute([1, "list"])
+        insert.execute((2, "tuple"))
+        insert.execute(range(3, 5))  # any other sequence
+        assert sorted(r["id"] for r in db.query("SELECT id FROM t")) == [1, 2, 3]
+
     def test_parameters_rejected_in_ddl(self, db):
         with pytest.raises(DatabaseError):
             db.execute("DROP TABLE ?", ["t"])
